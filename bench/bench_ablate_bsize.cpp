@@ -49,7 +49,7 @@ int main() {
     opt.mode = wsim::simt::ExecMode::kCachedByShape;
     const auto result = runner.run_batch(dev, batch, opt);
     table.add_row({std::to_string(bsize), std::to_string(bsize),
-                   std::to_string(runner.kernel().smem_bytes),
+                   std::to_string(runner.kernel().smem_bytes()),
                    format_percent(occ.fraction),
                    std::string(wsim::simt::to_string(occ.limiter)),
                    format_fixed(result.run.gcups_kernel(), 2)});

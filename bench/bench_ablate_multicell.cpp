@@ -25,7 +25,7 @@ int main() {
     const auto occ = wsim::simt::compute_occupancy(dev, kernel);
     const auto breakdown = wsim::model::hot_loop_breakdown(kernel);
     table.add_row({std::to_string(cells), std::to_string(32 * cells),
-                   std::to_string(kernel.vreg_count), format_percent(occ.fraction),
+                   std::to_string(kernel.vreg_count()), format_percent(occ.fraction),
                    std::string(wsim::simt::to_string(occ.limiter)),
                    std::to_string(breakdown.shuffle_total()),
                    std::to_string(breakdown.reg_moves)});

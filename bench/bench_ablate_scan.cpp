@@ -40,17 +40,17 @@ int main() {
       const auto shuffle_k = build_scan_kernel(CommMode::kShuffle, threads);
       auto bars = [](const wsim::simt::Kernel& k) {
         std::size_t n = 0;
-        for (const auto& ins : k.code) {
+        for (const auto& ins : k.code()) {
           n += ins.op == wsim::simt::Op::kBar ? 1 : 0;
         }
         return n;
       };
       table.add_row({"shared", std::to_string(threads),
-                     std::to_string(shared_k.smem_bytes),
+                     std::to_string(shared_k.smem_bytes()),
                      std::to_string(bars(shared_k)), std::to_string(shared_cycles),
                      "1.00x"});
       table.add_row({"shuffle", std::to_string(threads),
-                     std::to_string(shuffle_k.smem_bytes),
+                     std::to_string(shuffle_k.smem_bytes()),
                      std::to_string(bars(shuffle_k)), std::to_string(shuffle_cycles),
                      format_fixed(static_cast<double>(shared_cycles) /
                                       static_cast<double>(shuffle_cycles),

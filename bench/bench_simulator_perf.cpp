@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
   const double compile_seconds = time_best(3, 1, [] {
     const auto kernel =
         wsim::kernels::build_sw_kernel(wsim::kernels::CommMode::kShuffle, {});
-    if (kernel.code.empty()) {
+    if (kernel.code().empty()) {
       std::abort();  // defeats whole-build elision
     }
   });

@@ -58,11 +58,11 @@ int main() {
     row.name = mode == CommMode::kSharedMemory ? "SW1" : "SW2";
     row.gcups = result.run.gcups_kernel();
     row.occupancy = result.run.launch.occupancy;
-    row.regs = runner.kernel().vreg_count;
-    row.smem = runner.kernel().smem_bytes;
+    row.regs = runner.kernel().vreg_count();
+    row.smem = runner.kernel().smem_bytes();
     row.effective_latency = wsim::model::effective_latency_cycles(
         dev, row.occupancy, row.gcups * 1e9, sw_batch.size(),
-        runner.kernel().threads_per_block);
+        runner.kernel().threads_per_block());
     row.block_latency = result.run.cycles_per_iteration(wsim::kernels::sw_iterations(
         sw_batch.front().query.size(), sw_batch.front().target.size()));
     rows.push_back(row);
@@ -77,11 +77,11 @@ int main() {
     row.name = mode == CommMode::kSharedMemory ? "PH1" : "PH2";
     row.gcups = result.run.gcups_kernel();
     row.occupancy = result.run.launch.occupancy;
-    row.regs = kernel.vreg_count;
-    row.smem = kernel.smem_bytes;
+    row.regs = kernel.vreg_count();
+    row.smem = kernel.smem_bytes();
     row.effective_latency = wsim::model::effective_latency_cycles(
         dev, row.occupancy, row.gcups * 1e9, ph_batch.size(),
-        kernel.threads_per_block);
+        kernel.threads_per_block());
     row.block_latency =
         result.run.cycles_per_iteration(result.representative_iterations);
     rows.push_back(row);

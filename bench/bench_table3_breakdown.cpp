@@ -75,10 +75,10 @@ int main() {
     const auto r2 = runner2.run_batch(dev, sw_batch, opt);
     const double lat1 = wsim::model::effective_latency_cycles(
         dev, r1.run.launch.occupancy, r1.run.gcups_kernel() * 1e9, sw_batch.size(),
-        runner1.kernel().threads_per_block);
+        runner1.kernel().threads_per_block());
     const double lat2 = wsim::model::effective_latency_cycles(
         dev, r2.run.launch.occupancy, r2.run.gcups_kernel() * 1e9, sw_batch.size(),
-        runner2.kernel().threads_per_block);
+        runner2.kernel().threads_per_block());
     measured_sw = lat1 - lat2;
   }
   double measured_ph = 0.0;
@@ -90,9 +90,9 @@ int main() {
     const auto r1 = runner1.run_batch(dev, ph_batch, opt);
     const auto r2 = runner2.run_batch(dev, ph_batch, opt);
     const int threads1 =
-        runner1.kernel_for_read_len(ph_batch.front().read.size()).threads_per_block;
+        runner1.kernel_for_read_len(ph_batch.front().read.size()).threads_per_block();
     const int threads2 =
-        runner2.kernel_for_read_len(ph_batch.front().read.size()).threads_per_block;
+        runner2.kernel_for_read_len(ph_batch.front().read.size()).threads_per_block();
     const double lat1 = wsim::model::effective_latency_cycles(
         dev, r1.run.launch.occupancy, r1.run.gcups_kernel() * 1e9, ph_batch.size(),
         threads1);

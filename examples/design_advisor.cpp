@@ -63,8 +63,8 @@ int main() {
           comm + static_cast<double>(breakdown.other) /
                      c->kernel.warps_per_block();
       predicted[index] = wsim::model::predict_gcups(dev, occ, iter_latency);
-      table.add_row({c->name, std::to_string(c->kernel.vreg_count),
-                     std::to_string(c->kernel.smem_bytes),
+      table.add_row({c->name, std::to_string(c->kernel.vreg_count()),
+                     std::to_string(c->kernel.smem_bytes()),
                      format_percent(occ.fraction), format_fixed(comm, 0),
                      format_fixed(predicted[index], 1)});
       ++index;

@@ -114,42 +114,9 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
                                    SimTime active_at) {
   util::require(wc.max_pending_batches >= 1,
                 "FleetExecutor: max_pending_batches must be >= 1");
-  const VariantChoice choice = pick_variants(wc.device);
-  const kernels::CommMode sw = wc.sw_design.value_or(choice.sw_design);
-  const kernels::PhDesign ph = wc.ph_design.value_or(choice.ph_design);
-  // The per-device regime model, honouring pinned designs so predicted
-  // seconds describe the kernels this worker will actually run.
-  IntraTaskModel intra = build_intra_task_model(wc.device);
-  if (wc.sw_design.has_value() && intra.sw_design != sw) {
-    intra.sw_design = sw;
-    intra.sw_latency = sw_iteration_latency(wc.device, sw);
-    const simt::Kernel sw_kernel = kernels::build_sw_kernel(sw, {});
-    intra.sw_occupancy = simt::compute_occupancy(wc.device, sw_kernel);
-    intra.sw_threads_per_block = sw_kernel.threads_per_block;
-  }
-  const kernels::WfVariant wf = wc.wf_variant.value_or(intra.wf_variant);
-  if (intra.wf_variant != wf) {
-    intra.wf_variant = wf;
-    intra.wf_latency = wf_iteration_latency(wc.device, wf);
-    const simt::Kernel wf_kernel =
-        wf == kernels::WfVariant::kHostSyncNaive
-            ? kernels::build_wf_naive_sw_kernel({})
-            : kernels::build_wf_sw_kernel(wf, {});
-    intra.wf_occupancy = simt::compute_occupancy(wc.device, wf_kernel);
-    intra.wf_threads_per_block = wf_kernel.threads_per_block;
-  }
   const DeviceId id = static_cast<DeviceId>(workers_.size());
   DeviceWorker worker{wc,
-                      sw,
-                      ph,
-                      wf,
-                      predicted_sw_gcups(wc.device, sw),
-                      predicted_ph_gcups(wc.device, ph),
-                      predicted_wf_gcups(wc.device, wf),
-                      intra,
-                      kernels::SwRunner(sw),
-                      kernels::PhRunner(ph),
-                      kernels::WavefrontSwRunner(wf),
+                      plan_device(wc.device, wc.sw_design, wc.ph_design, wc.wf_variant),
                       now,
                       active_at,
                       /*draining=*/false,
@@ -164,9 +131,9 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
                       {},
                       0};
   worker.stats.name = wc.device.name;
-  worker.stats.sw_design = sw;
-  worker.stats.ph_design = ph;
-  worker.stats.wf_variant = wf;
+  worker.stats.sw_design = worker.plan.sw_design;
+  worker.stats.ph_design = worker.plan.ph_design;
+  worker.stats.wf_variant = worker.plan.wf_variant;
   worker.stats.id = id;
   worker.stats.joined_at = now;
   // The model-believed timeline starts where the oracle one does: at the
@@ -249,17 +216,17 @@ const simt::DeviceSpec& FleetExecutor::device(std::size_t index) const {
 
 kernels::CommMode FleetExecutor::sw_design(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].sw_design;
+  return workers_[index].plan.sw_design;
 }
 
 kernels::PhDesign FleetExecutor::ph_design(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].ph_design;
+  return workers_[index].plan.ph_design;
 }
 
 kernels::WfVariant FleetExecutor::wf_variant(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].wf_variant;
+  return workers_[index].plan.wf_variant;
 }
 
 SimTime FleetExecutor::all_free_at() const noexcept {
@@ -356,14 +323,14 @@ bool FleetExecutor::routes_intra(const DeviceWorker& w, std::size_t mean_m,
     // are exactly 1.0 and this reduces to pick_parallelism.
     const int dev = static_cast<int>(w.stats.id);
     const double inter = calibrator_.factor(dev, KernelClass::kSwInter) *
-                         predicted_inter_batch_seconds(w.cfg.device, w.intra,
+                         predicted_inter_batch_seconds(w.cfg.device, w.plan.intra,
                                                        mean_m, mean_n, tasks);
     const double intra = calibrator_.factor(dev, KernelClass::kSwIntra) *
-                         predicted_intra_batch_seconds(w.cfg.device, w.intra,
+                         predicted_intra_batch_seconds(w.cfg.device, w.plan.intra,
                                                        mean_m, mean_n, tasks);
     return intra < inter;
   }
-  return pick_parallelism(w.cfg.device, w.intra, mean_m, mean_n, tasks) ==
+  return pick_parallelism(w.cfg.device, w.plan.intra, mean_m, mean_n, tasks) ==
          ParallelMode::kIntraTask;
 }
 
@@ -384,14 +351,14 @@ double FleetExecutor::predicted_seconds_for(const DeviceWorker& w,
                                             std::size_t tasks) const {
   switch (cls) {
     case KernelClass::kSwInter:
-      return predicted_batch_seconds(w.cfg.device, w.sw_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.plan.sw_gcups, cells);
     case KernelClass::kSwIntra:
-      return predicted_intra_batch_seconds(w.cfg.device, w.intra, mean_m,
+      return predicted_intra_batch_seconds(w.cfg.device, w.plan.intra, mean_m,
                                            mean_n, tasks);
     case KernelClass::kPairHmm:
-      return predicted_batch_seconds(w.cfg.device, w.ph_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.plan.ph_gcups, cells);
   }
-  return predicted_batch_seconds(w.cfg.device, w.sw_gcups, cells);
+  return predicted_batch_seconds(w.cfg.device, w.plan.sw_gcups, cells);
 }
 
 void FleetExecutor::handle_drift(
@@ -532,7 +499,7 @@ std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
       double best_finish = std::numeric_limits<double>::infinity();
       for (const std::size_t i : eligible) {
         const DeviceWorker& w = workers_[i];
-        const double gcups = is_sw ? w.sw_gcups : w.ph_gcups;
+        const double gcups = is_sw ? w.plan.sw_gcups : w.plan.ph_gcups;
         const double finish = std::max(t, w.free_at) +
                               predicted_batch_seconds(w.cfg.device, gcups, cells);
         if (finish < best_finish) {
@@ -884,7 +851,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
         opt.use_engine_cache = true;
       }
       kernels::WfSwBatchResult wf =
-          worker.wf_runner.run_batch(worker.cfg.device, batch, opt);
+          worker.plan.wf_runner.run_batch(worker.cfg.device, batch, opt);
       result.run = std::move(wf.run);
       result.outputs = std::move(wf.outputs);
       ++worker.stats.intra_batches;
@@ -904,7 +871,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
       opt.mode = simt::ExecMode::kCachedByShape;
       opt.use_engine_cache = true;
     }
-    result = worker.sw_runner.run_batch(worker.cfg.device, batch, opt);
+    result = worker.plan.sw_runner.run_batch(worker.cfg.device, batch, opt);
     return result.run.launch.total_seconds();
   };
   const auto run_once = [&](SimTime when, int force, int excluded) {
@@ -916,7 +883,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
                  });
     return out;
   };
-  const align::SwParams& params = workers_.front().sw_runner.params();
+  const align::SwParams& params = workers_.front().plan.sw_runner.params();
   try {
     if (!options.collect_outputs || !config_.guard.verifying()) {
       SwExecution out = run_once(now, -1, -1);
@@ -980,7 +947,7 @@ PhExecution FleetExecutor::execute_ph(const workload::PhBatch& batch,
                      opt.use_engine_cache = true;
                    }
                    out.result =
-                       worker.ph_runner.run_batch(worker.cfg.device, batch, opt);
+                       worker.plan.ph_runner.run_batch(worker.cfg.device, batch, opt);
                    return out.result.run.launch.total_seconds();
                  });
     return out;
@@ -1012,7 +979,7 @@ PhExecution FleetExecutor::execute_ph(const workload::PhBatch& batch,
                           opt.overlap_transfers = options.overlap_transfers;
                           opt.mode = simt::ExecMode::kCachedByShape;
                           opt.use_engine_cache = true;
-                          out.result = worker.ph_runner.run_batch(
+                          out.result = worker.plan.ph_runner.run_batch(
                               worker.cfg.device, batch, opt);
                           return out.result.run.launch.total_seconds();
                         });

@@ -318,18 +318,9 @@ class FleetExecutor {
   /// freezes it in place so ids stay dense and stable.
   struct DeviceWorker {
     WorkerConfig cfg;
-    kernels::CommMode sw_design;
-    kernels::PhDesign ph_design;
-    kernels::WfVariant wf_variant;
-    double sw_gcups = 0.0;  ///< model prediction for the chosen SW design
-    double ph_gcups = 0.0;  ///< model prediction for the chosen PH design
-    double wf_gcups = 0.0;  ///< model prediction for the chosen wavefront variant
-    /// Per-device regime model: occupancies and latencies of both SW
-    /// subsystems, precomputed once so pick_parallelism per batch is cheap.
-    IntraTaskModel intra;
-    kernels::SwRunner sw_runner;
-    kernels::PhRunner ph_runner;
-    kernels::WavefrontSwRunner wf_runner;
+    /// Designs, model rates, regime model and runners, computed once at
+    /// join so placement and pick_parallelism per batch are cheap.
+    DevicePlan plan;
     SimTime joined_at = 0.0;
     SimTime active_at = 0.0;  ///< warmup end; placeable from here
     bool draining = false;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/model/perf_model.hpp"
@@ -49,52 +51,70 @@ double ph_iteration_latency(const simt::DeviceSpec& device,
   throw util::CheckError("ph_iteration_latency: unknown PhDesign");
 }
 
+namespace {
+
+/// Eq. 7/8 rate of an already-compiled kernel: occupancy from its
+/// register/shared-memory footprint, `latency` from the device table.
+double gcups_of(const simt::DeviceSpec& device, const simt::Kernel& kernel,
+                double latency) {
+  return model::predict_gcups(device, simt::compute_occupancy(device, kernel),
+                              latency);
+}
+
+/// The Table II decisions on compiled candidates: the faster prediction
+/// and its rate, shuffle on ties.
+std::pair<kernels::CommMode, double> choose_sw(const simt::DeviceSpec& device,
+                                               const simt::Kernel& shared,
+                                               const simt::Kernel& shuffle) {
+  const double shared_gcups = gcups_of(
+      device, shared, sw_iteration_latency(device, kernels::CommMode::kSharedMemory));
+  const double shuffle_gcups = gcups_of(
+      device, shuffle, sw_iteration_latency(device, kernels::CommMode::kShuffle));
+  return {shuffle_gcups >= shared_gcups ? kernels::CommMode::kShuffle
+                                        : kernels::CommMode::kSharedMemory,
+          std::max(shared_gcups, shuffle_gcups)};
+}
+
+std::pair<kernels::PhDesign, double> choose_ph(const simt::DeviceSpec& device,
+                                               const simt::Kernel& shared,
+                                               const simt::Kernel& shuffle) {
+  const double shared_gcups = gcups_of(
+      device, shared, ph_iteration_latency(device, kernels::PhDesign::kShared));
+  const double shuffle_gcups = gcups_of(
+      device, shuffle, ph_iteration_latency(device, kernels::PhDesign::kShuffle));
+  return {shuffle_gcups >= shared_gcups ? kernels::PhDesign::kShuffle
+                                        : kernels::PhDesign::kShared,
+          std::max(shared_gcups, shuffle_gcups)};
+}
+
+/// Representative PairHMM kernel of a design: full-length reads (128
+/// rows), i.e. 128 threads/block for PH1 and 4 cells/thread for PH2.
+simt::Kernel build_ph_representative(kernels::PhDesign design) {
+  return kernels::build_ph_variant_kernel(design, kernels::kPhVariants - 1);
+}
+
+}  // namespace
+
 double predicted_sw_gcups(const simt::DeviceSpec& device,
                           kernels::CommMode mode) {
-  const simt::Kernel kernel = kernels::build_sw_kernel(mode, {});
-  const simt::Occupancy occupancy = simt::compute_occupancy(device, kernel);
-  return model::predict_gcups(device, occupancy,
-                              sw_iteration_latency(device, mode));
+  return gcups_of(device, kernels::build_sw_kernel(mode, {}),
+                  sw_iteration_latency(device, mode));
 }
 
 double predicted_ph_gcups(const simt::DeviceSpec& device,
                           kernels::PhDesign design) {
-  // Representative variant: full-length reads (128 rows), i.e. 128
-  // threads/block for PH1 and 4 cells/thread for PH2.
-  simt::Kernel kernel;
-  switch (design) {
-    case kernels::PhDesign::kShared:
-      kernel = kernels::build_ph_shared_kernel(kernels::kPhMaxReadLen);
-      break;
-    case kernels::PhDesign::kShuffle:
-      kernel = kernels::build_ph_shuffle_kernel(kernels::kPhVariants);
-      break;
-    case kernels::PhDesign::kHybrid:
-      kernel = kernels::build_ph_hybrid_kernel(kernels::kPhMaxReadLen);
-      break;
-  }
-  const simt::Occupancy occupancy = simt::compute_occupancy(device, kernel);
-  return model::predict_gcups(device, occupancy,
-                              ph_iteration_latency(device, design));
+  return gcups_of(device, build_ph_representative(design),
+                  ph_iteration_latency(device, design));
 }
 
 VariantChoice pick_variants(const simt::DeviceSpec& device) {
   VariantChoice choice;
-  const double sw_shared =
-      predicted_sw_gcups(device, kernels::CommMode::kSharedMemory);
-  const double sw_shuffle =
-      predicted_sw_gcups(device, kernels::CommMode::kShuffle);
-  choice.sw_design = sw_shuffle >= sw_shared ? kernels::CommMode::kShuffle
-                                             : kernels::CommMode::kSharedMemory;
-  choice.sw_gcups = std::max(sw_shared, sw_shuffle);
-
-  const double ph_shared =
-      predicted_ph_gcups(device, kernels::PhDesign::kShared);
-  const double ph_shuffle =
-      predicted_ph_gcups(device, kernels::PhDesign::kShuffle);
-  choice.ph_design = ph_shuffle >= ph_shared ? kernels::PhDesign::kShuffle
-                                             : kernels::PhDesign::kShared;
-  choice.ph_gcups = std::max(ph_shared, ph_shuffle);
+  std::tie(choice.sw_design, choice.sw_gcups) =
+      choose_sw(device, kernels::build_sw_kernel(kernels::CommMode::kSharedMemory, {}),
+                kernels::build_sw_kernel(kernels::CommMode::kShuffle, {}));
+  std::tie(choice.ph_design, choice.ph_gcups) =
+      choose_ph(device, build_ph_representative(kernels::PhDesign::kShared),
+                build_ph_representative(kernels::PhDesign::kShuffle));
   return choice;
 }
 
@@ -177,41 +197,113 @@ double wf_iteration_latency(const simt::DeviceSpec& device,
 
 double predicted_wf_gcups(const simt::DeviceSpec& device,
                           kernels::WfVariant variant) {
-  const simt::Kernel kernel =
-      variant == kernels::WfVariant::kHostSyncNaive
-          ? kernels::build_wf_naive_sw_kernel({})
-          : kernels::build_wf_sw_kernel(variant, {});
-  const simt::Occupancy occupancy = simt::compute_occupancy(device, kernel);
-  return model::predict_gcups(device, occupancy,
-                              wf_iteration_latency(device, variant));
+  return gcups_of(device, kernels::build_wf_sw_kernel(variant, {}),
+                  wf_iteration_latency(device, variant));
 }
 
-IntraTaskModel build_intra_task_model(const simt::DeviceSpec& device,
-                                      int tile_rows) {
+namespace {
+
+/// The wavefront decision on compiled tile candidates. The naive variant
+/// is never a candidate: it exists to be beaten.
+kernels::WfVariant choose_wf(const simt::DeviceSpec& device,
+                             const simt::Kernel& shuffle,
+                             const simt::Kernel& shared) {
+  const double wf_shuffle = gcups_of(
+      device, shuffle, wf_iteration_latency(device, kernels::WfVariant::kShuffle));
+  const double wf_shared = gcups_of(
+      device, shared, wf_iteration_latency(device, kernels::WfVariant::kSharedMemory));
+  return wf_shuffle >= wf_shared ? kernels::WfVariant::kShuffle
+                                 : kernels::WfVariant::kSharedMemory;
+}
+
+/// The regime model for fixed designs; `sw` and `wf` are the compiled
+/// kernels of `sw_design` and `wf_variant`.
+IntraTaskModel intra_model(const simt::DeviceSpec& device, int tile_rows,
+                           kernels::CommMode sw_design, const simt::Kernel& sw,
+                           kernels::WfVariant wf_variant, const simt::Kernel& wf) {
   util::require(tile_rows >= 1, "build_intra_task_model: tile_rows must be >= 1");
   IntraTaskModel model;
   model.tile_rows = tile_rows;
-
-  const VariantChoice inter = pick_variants(device);
-  model.sw_design = inter.sw_design;
-  model.sw_latency = sw_iteration_latency(device, inter.sw_design);
-  const simt::Kernel sw_kernel = kernels::build_sw_kernel(inter.sw_design, {});
-  model.sw_occupancy = simt::compute_occupancy(device, sw_kernel);
-  model.sw_threads_per_block = sw_kernel.threads_per_block;
-
-  // The naive variant is never a candidate: it exists to be beaten.
-  const double wf_shuffle =
-      predicted_wf_gcups(device, kernels::WfVariant::kShuffle);
-  const double wf_shared =
-      predicted_wf_gcups(device, kernels::WfVariant::kSharedMemory);
-  model.wf_variant = wf_shuffle >= wf_shared ? kernels::WfVariant::kShuffle
-                                             : kernels::WfVariant::kSharedMemory;
-  model.wf_latency = wf_iteration_latency(device, model.wf_variant);
-  const simt::Kernel wf_kernel =
-      kernels::build_wf_sw_kernel(model.wf_variant, {});
-  model.wf_occupancy = simt::compute_occupancy(device, wf_kernel);
-  model.wf_threads_per_block = wf_kernel.threads_per_block;
+  model.sw_design = sw_design;
+  model.sw_latency = sw_iteration_latency(device, sw_design);
+  model.sw_occupancy = simt::compute_occupancy(device, sw);
+  model.sw_threads_per_block = sw.threads_per_block();
+  model.wf_variant = wf_variant;
+  model.wf_latency = wf_iteration_latency(device, wf_variant);
+  model.wf_occupancy = simt::compute_occupancy(device, wf);
+  model.wf_threads_per_block = wf.threads_per_block();
   return model;
+}
+
+}  // namespace
+
+IntraTaskModel build_intra_task_model(const simt::DeviceSpec& device,
+                                      int tile_rows) {
+  const simt::Kernel sw_shared =
+      kernels::build_sw_kernel(kernels::CommMode::kSharedMemory, {});
+  const simt::Kernel sw_shuffle =
+      kernels::build_sw_kernel(kernels::CommMode::kShuffle, {});
+  const simt::Kernel wf_shuffle =
+      kernels::build_wf_sw_kernel(kernels::WfVariant::kShuffle, {});
+  const simt::Kernel wf_shared =
+      kernels::build_wf_sw_kernel(kernels::WfVariant::kSharedMemory, {});
+  const kernels::CommMode sw = choose_sw(device, sw_shared, sw_shuffle).first;
+  const kernels::WfVariant wf = choose_wf(device, wf_shuffle, wf_shared);
+  return intra_model(device, tile_rows, sw,
+                     sw == kernels::CommMode::kShuffle ? sw_shuffle : sw_shared, wf,
+                     wf == kernels::WfVariant::kShuffle ? wf_shuffle : wf_shared);
+}
+
+DevicePlan plan_device(const simt::DeviceSpec& device,
+                       std::optional<kernels::CommMode> sw_pin,
+                       std::optional<kernels::PhDesign> ph_pin,
+                       std::optional<kernels::WfVariant> wf_pin) {
+  // Every candidate is compiled once. The SW and wavefront candidates are
+  // whole runners, so the chosen ones serve the device as they are; the
+  // PairHMM candidates are each design's widest variant, which the chosen
+  // PhRunner adopts.
+  kernels::SwRunner sw_shared(kernels::CommMode::kSharedMemory);
+  kernels::SwRunner sw_shuffle(kernels::CommMode::kShuffle);
+  simt::Kernel ph_shared = build_ph_representative(kernels::PhDesign::kShared);
+  simt::Kernel ph_shuffle = build_ph_representative(kernels::PhDesign::kShuffle);
+  kernels::WavefrontSwRunner wf_shuffle(kernels::WfVariant::kShuffle);
+  kernels::WavefrontSwRunner wf_shared(kernels::WfVariant::kSharedMemory);
+
+  const kernels::CommMode sw = sw_pin.value_or(
+      choose_sw(device, sw_shared.kernel(), sw_shuffle.kernel()).first);
+  const kernels::PhDesign ph =
+      ph_pin.value_or(choose_ph(device, ph_shared, ph_shuffle).first);
+  const kernels::WfVariant wf =
+      wf_pin.value_or(choose_wf(device, wf_shuffle.kernel(), wf_shared.kernel()));
+
+  kernels::SwRunner& sw_runner =
+      sw == kernels::CommMode::kShuffle ? sw_shuffle : sw_shared;
+  std::optional<kernels::WavefrontSwRunner> wf_naive;
+  kernels::WavefrontSwRunner& wf_runner =
+      wf == kernels::WfVariant::kShuffle        ? wf_shuffle
+      : wf == kernels::WfVariant::kSharedMemory ? wf_shared
+                                                : wf_naive.emplace(wf);
+  simt::Kernel ph_widest = ph == kernels::PhDesign::kShared    ? std::move(ph_shared)
+                           : ph == kernels::PhDesign::kShuffle ? std::move(ph_shuffle)
+                                                               : build_ph_representative(ph);
+
+  // The regime model and rates describe the kernels this worker will
+  // actually run, pinned designs included.
+  const IntraTaskModel intra = intra_model(device, kernels::kWfTileRows, sw,
+                                           sw_runner.kernel(), wf, wf_runner.kernel());
+  const double sw_gcups =
+      gcups_of(device, sw_runner.kernel(), sw_iteration_latency(device, sw));
+  const double ph_gcups =
+      gcups_of(device, ph_widest, ph_iteration_latency(device, ph));
+  return DevicePlan{sw,
+                    ph,
+                    wf,
+                    sw_gcups,
+                    ph_gcups,
+                    intra,
+                    std::move(sw_runner),
+                    kernels::PhRunner(ph, std::move(ph_widest)),
+                    std::move(wf_runner)};
 }
 
 namespace {

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "wsim/kernels/common.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
+#include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/kernels/wavefront_kernels.hpp"
 #include "wsim/simt/device.hpp"
 #include "wsim/simt/occupancy.hpp"
@@ -200,5 +202,35 @@ ParallelMode pick_parallelism(const simt::DeviceSpec& device,
 /// — prefer the cached-model overload in hot paths).
 ParallelMode pick_parallelism(const simt::DeviceSpec& device, std::size_t m,
                               std::size_t n, std::size_t batch);
+
+// ---------------------------------------------------------------------------
+// Per-device plan (what a fleet worker derives from the model)
+// ---------------------------------------------------------------------------
+
+/// Everything one fleet worker takes from the model for its device: the
+/// designs it runs (the pinned ones, the rest chosen as pick_variants and
+/// build_intra_task_model would), their Eq. 7/8 rates, the regime
+/// model describing exactly those kernels, and the runners that execute
+/// them.
+struct DevicePlan {
+  kernels::CommMode sw_design = kernels::CommMode::kShuffle;
+  kernels::PhDesign ph_design = kernels::PhDesign::kShuffle;
+  kernels::WfVariant wf_variant = kernels::WfVariant::kShuffle;
+  double sw_gcups = 0.0;  ///< == predicted_sw_gcups(device, sw_design)
+  double ph_gcups = 0.0;  ///< == predicted_ph_gcups(device, ph_design)
+  IntraTaskModel intra;
+  kernels::SwRunner sw_runner;
+  kernels::PhRunner ph_runner;
+  kernels::WavefrontSwRunner wf_runner;
+};
+
+/// Builds the plan compiling each distinct kernel once: the model reads
+/// occupancy off the same kernels the runners keep, so a plan costs the
+/// runners' kernels plus one losing candidate per subsystem — not a fresh
+/// compile per prediction.
+DevicePlan plan_device(const simt::DeviceSpec& device,
+                       std::optional<kernels::CommMode> sw_pin = std::nullopt,
+                       std::optional<kernels::PhDesign> ph_pin = std::nullopt,
+                       std::optional<kernels::WfVariant> wf_pin = std::nullopt);
 
 }  // namespace wsim::fleet

@@ -53,6 +53,13 @@ simt::Kernel build_ph_hybrid_kernel(int threads_per_block);
 /// The three PairHMM designs (PH1 / PH2 / the rejected hybrid).
 enum class PhDesign { kShared, kShuffle, kHybrid };
 
+/// The kernel of one length variant of a design, for reads of up to
+/// 32 * (variant + 1) rows: that many threads per block for PH1 and the
+/// hybrid, variant + 1 cells per lane for PH2. PhRunner compiles one per
+/// variant; the widest (kPhVariants - 1) is the full-length kernel the
+/// placement model reads occupancy from.
+simt::Kernel build_ph_variant_kernel(PhDesign design, int variant);
+
 /// Anti-diagonal iterations one block executes for an R x H task.
 inline std::size_t ph_iterations(std::size_t r, std::size_t h) noexcept {
   return r + h - 1;
@@ -110,6 +117,10 @@ class PhRunner {
  public:
   explicit PhRunner(CommMode mode);
   explicit PhRunner(PhDesign design);
+  /// Adopts an already-compiled widest variant (what
+  /// build_ph_variant_kernel(design, kPhVariants - 1) returns) and
+  /// compiles only the narrower ones.
+  PhRunner(PhDesign design, simt::Kernel widest);
 
   PhDesign design() const noexcept { return design_; }
 

@@ -1,5 +1,6 @@
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/simt/engine.hpp"
@@ -11,22 +12,28 @@ PhRunner::PhRunner(CommMode mode)
     : PhRunner(mode == CommMode::kSharedMemory ? PhDesign::kShared
                                                : PhDesign::kShuffle) {}
 
-PhRunner::PhRunner(PhDesign design) : design_(design) {
-  for (int v = 0; v < kPhVariants; ++v) {
-    simt::Kernel kernel;
-    switch (design) {
-      case PhDesign::kShared:
-        kernel = build_ph_shared_kernel(32 * (v + 1));
-        break;
-      case PhDesign::kShuffle:
-        kernel = build_ph_shuffle_kernel(v + 1);
-        break;
-      case PhDesign::kHybrid:
-        kernel = build_ph_hybrid_kernel(32 * (v + 1));
-        break;
-    }
-    kernels_[static_cast<std::size_t>(v)] = std::move(kernel);
+simt::Kernel build_ph_variant_kernel(PhDesign design, int variant) {
+  util::require(variant >= 0 && variant < kPhVariants,
+                "build_ph_variant_kernel: variant out of range");
+  switch (design) {
+    case PhDesign::kShared:
+      return build_ph_shared_kernel(32 * (variant + 1));
+    case PhDesign::kShuffle:
+      return build_ph_shuffle_kernel(variant + 1);
+    case PhDesign::kHybrid:
+      return build_ph_hybrid_kernel(32 * (variant + 1));
   }
+  throw util::CheckError("build_ph_variant_kernel: unknown PhDesign");
+}
+
+PhRunner::PhRunner(PhDesign design)
+    : PhRunner(design, build_ph_variant_kernel(design, kPhVariants - 1)) {}
+
+PhRunner::PhRunner(PhDesign design, simt::Kernel widest) : design_(design) {
+  for (int v = 0; v < kPhVariants - 1; ++v) {
+    kernels_[static_cast<std::size_t>(v)] = build_ph_variant_kernel(design, v);
+  }
+  kernels_.back() = std::move(widest);
 }
 
 int PhRunner::variant_for_read_len(std::size_t read_len) {

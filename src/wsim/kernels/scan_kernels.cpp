@@ -106,11 +106,11 @@ std::vector<std::int32_t> run_scan(const simt::Kernel& kernel,
                                    const std::vector<std::int32_t>& values,
                                    long long* cycles) {
   util::require(!values.empty(), "run_scan: input must be non-empty");
-  util::require(values.size() <= static_cast<std::size_t>(kernel.threads_per_block),
+  util::require(values.size() <= static_cast<std::size_t>(kernel.threads_per_block()),
                 "run_scan: input exceeds one block");
   simt::GlobalMemory gmem;
-  const auto in = gmem.alloc(static_cast<std::size_t>(kernel.threads_per_block) * 4);
-  const auto out = gmem.alloc(static_cast<std::size_t>(kernel.threads_per_block) * 4);
+  const auto in = gmem.alloc(static_cast<std::size_t>(kernel.threads_per_block()) * 4);
+  const auto out = gmem.alloc(static_cast<std::size_t>(kernel.threads_per_block()) * 4);
   gmem.write_i32(in, values);
   std::vector<simt::BlockLaunch> blocks(1);
   blocks[0].args = {static_cast<std::uint64_t>(in), static_cast<std::uint64_t>(out),

@@ -34,10 +34,10 @@ struct LoopRegion {
 std::vector<LoopRegion> loop_regions(const Kernel& kernel) {
   std::vector<LoopRegion> regions;
   std::vector<std::size_t> stack;
-  for (std::size_t i = 0; i < kernel.code.size(); ++i) {
-    if (kernel.code[i].op == Op::kLoop) {
+  for (std::size_t i = 0; i < kernel.code().size(); ++i) {
+    if (kernel.code()[i].op == Op::kLoop) {
       stack.push_back(i);
-    } else if (kernel.code[i].op == Op::kEndLoop) {
+    } else if (kernel.code()[i].op == Op::kEndLoop) {
       util::ensure(!stack.empty(), "hot_loop_breakdown: unbalanced loops");
       regions.push_back({stack.back(), i, true});
       stack.pop_back();
@@ -78,7 +78,7 @@ CommBreakdown hot_loop_breakdown(const Kernel& kernel) {
   CommBreakdown breakdown;
   const auto warps = static_cast<std::uint64_t>(kernel.warps_per_block());
   for (std::size_t i = hot->begin + 1; i < hot->end; ++i) {
-    const Instr& ins = kernel.code[i];
+    const Instr& ins = kernel.code()[i];
     switch (ins.op) {
       case Op::kLds:
         breakdown.smem_loads += warps;

@@ -407,8 +407,8 @@ void schedule_instructions(std::vector<Instr>& code) {
 KernelBuilder::KernelBuilder(std::string name, int threads_per_block) {
   util::require(threads_per_block > 0 && threads_per_block % 32 == 0,
                 "KernelBuilder: threads_per_block must be a positive multiple of 32");
-  kernel_.name = std::move(name);
-  kernel_.threads_per_block = threads_per_block;
+  name_ = std::move(name);
+  threads_per_block_ = threads_per_block;
 }
 
 VReg KernelBuilder::vreg() { return VReg{next_vreg_++}; }
@@ -430,7 +430,7 @@ void KernelBuilder::push(Instr instr) {
   util::require(!built_, "KernelBuilder: already built");
   instr.pred = cur_pred_;
   instr.pred_negate = cur_pred_negate_;
-  kernel_.code.push_back(instr);
+  code_.push_back(instr);
 }
 
 VReg KernelBuilder::emit_val(Op op, Operand a, Operand b, Operand c) {
@@ -655,17 +655,18 @@ Kernel KernelBuilder::build() {
   util::require(cur_pred_ < 0, "build: unterminated predication region");
   built_ = true;
 
-  kernel_.sreg_count = next_sreg_;
-  kernel_.smem_bytes = smem_cursor_;
-
-  schedule_instructions(kernel_.code);
-  auto intervals = live_intervals(kernel_.code, next_vreg_);
+  schedule_instructions(code_);
+  auto intervals = live_intervals(code_, next_vreg_);
   auto [mapping, phys_count] = linear_scan(std::move(intervals));
-  rewrite_registers(kernel_.code, mapping);
-  kernel_.vreg_count = phys_count;
+  rewrite_registers(code_, mapping);
 
-  validate(kernel_);
-  return kernel_;
+  // Kernels are long-lived (every runner keeps its own): drop the growth
+  // slack rather than carry up to 2x the instruction list.
+  code_.shrink_to_fit();
+  Kernel kernel(std::move(name_), threads_per_block_, std::move(code_), phys_count,
+                next_sreg_, smem_cursor_);
+  validate(kernel);
+  return kernel;
 }
 
 }  // namespace wsim::simt

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "wsim/simt/isa.hpp"
 
@@ -144,7 +145,9 @@ class KernelBuilder {
                 Operand c = Operand::none());
   SReg emit_scalar(Op op, Operand a, Operand b = Operand::none());
 
-  Kernel kernel_;
+  std::string name_;
+  int threads_per_block_ = 32;
+  std::vector<Instr> code_;
   int next_vreg_ = 0;
   int next_sreg_ = 0;
   int smem_cursor_ = 0;

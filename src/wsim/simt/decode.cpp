@@ -22,6 +22,32 @@ std::uint64_t hash_value(std::uint64_t h, std::uint64_t v) noexcept {
   return hash_bytes(h, &v, sizeof(v));
 }
 
+/// FNV-1a state after the kernel half of kernel_identity: name, shape,
+/// and every instruction field.
+std::uint64_t content_hash(const Kernel& kernel) noexcept {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  h = hash_bytes(h, kernel.name().data(), kernel.name().size());
+  h = hash_value(h, static_cast<std::uint64_t>(kernel.threads_per_block()));
+  h = hash_value(h, static_cast<std::uint64_t>(kernel.vreg_count()));
+  h = hash_value(h, static_cast<std::uint64_t>(kernel.sreg_count()));
+  h = hash_value(h, static_cast<std::uint64_t>(kernel.smem_bytes()));
+  for (const Instr& ins : kernel.code()) {
+    h = hash_value(h, static_cast<std::uint64_t>(ins.op));
+    h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(ins.dst)));
+    for (const Operand* operand : {&ins.a, &ins.b, &ins.c}) {
+      h = hash_value(h, static_cast<std::uint64_t>(operand->kind));
+      h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(operand->reg)));
+      h = hash_value(h, operand->imm);
+    }
+    h = hash_value(h, static_cast<std::uint64_t>(ins.cmp));
+    h = hash_value(h, static_cast<std::uint64_t>(ins.dtype));
+    h = hash_value(h, static_cast<std::uint64_t>(ins.width));
+    h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(ins.pred)));
+    h = hash_value(h, static_cast<std::uint64_t>(ins.pred_negate));
+  }
+  return h;
+}
+
 ExecClass classify(Op op) noexcept {
   switch (op) {
     case Op::kShfl:
@@ -303,25 +329,12 @@ void mark_vector_metadata(DecodedProgram& prog) {
 }  // namespace
 
 std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = hash_bytes(h, kernel.name.data(), kernel.name.size());
-  h = hash_value(h, static_cast<std::uint64_t>(kernel.threads_per_block));
-  h = hash_value(h, static_cast<std::uint64_t>(kernel.vreg_count));
-  h = hash_value(h, static_cast<std::uint64_t>(kernel.sreg_count));
-  h = hash_value(h, static_cast<std::uint64_t>(kernel.smem_bytes));
-  for (const Instr& ins : kernel.code) {
-    h = hash_value(h, static_cast<std::uint64_t>(ins.op));
-    h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(ins.dst)));
-    for (const Operand* operand : {&ins.a, &ins.b, &ins.c}) {
-      h = hash_value(h, static_cast<std::uint64_t>(operand->kind));
-      h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(operand->reg)));
-      h = hash_value(h, operand->imm);
-    }
-    h = hash_value(h, static_cast<std::uint64_t>(ins.cmp));
-    h = hash_value(h, static_cast<std::uint64_t>(ins.dtype));
-    h = hash_value(h, static_cast<std::uint64_t>(ins.width));
-    h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(ins.pred)));
-    h = hash_value(h, static_cast<std::uint64_t>(ins.pred_negate));
+  // Kernel half: memoized on the Kernel. A content hash that happens to be
+  // 0 (the empty-memo marker) is simply recomputed on every call.
+  std::uint64_t h = kernel.content_hash_.value.load();
+  if (h == 0) {
+    h = content_hash(kernel);
+    kernel.content_hash_.value.store(h);
   }
   h = hash_bytes(h, device.name.data(), device.name.size());
   h = hash_value(h, static_cast<std::uint64_t>(device.arch));
@@ -342,18 +355,18 @@ std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
   validate(kernel);
 
   auto prog = std::make_shared<DecodedProgram>();
-  prog->name = kernel.name;
-  prog->threads_per_block = kernel.threads_per_block;
+  prog->name = kernel.name();
+  prog->threads_per_block = kernel.threads_per_block();
   prog->warps = kernel.warps_per_block();
-  prog->vreg_count = std::max(kernel.vreg_count, 1);
-  prog->sreg_count = std::max(kernel.sreg_count, 1);
-  prog->smem_bytes = std::max(kernel.smem_bytes, 1);
+  prog->vreg_count = std::max(kernel.vreg_count(), 1);
+  prog->sreg_count = std::max(kernel.sreg_count(), 1);
+  prog->smem_bytes = std::max(kernel.smem_bytes(), 1);
   prog->identity = kernel_identity(kernel, device);
 
-  const std::size_t n = kernel.code.size();
+  const std::size_t n = kernel.code().size();
   prog->code.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Instr& ins = kernel.code[i];
+    const Instr& ins = kernel.code()[i];
     DecodedInstr& d = prog->code[i];
     d.op = ins.op;
     d.cls = classify(ins.op);

@@ -18,6 +18,10 @@ namespace wsim::simt {
 /// every instruction, the device name, and the device's latency table.
 /// Used to key both the engine's block-cost cache and the decoded-program
 /// cache, so neither can alias entries across kernels or architectures.
+/// The kernel half is hashed once, on first use, and memoized on the
+/// Kernel (whose content is immutable, see isa.hpp); every call after that
+/// hashes only the device half, so a launch costs O(1) here instead of
+/// O(instructions).
 std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device);
 
 /// Dispatch class of a decoded instruction: which fast-path handler

@@ -295,7 +295,7 @@ void ExecutionEngine::check_overlaps(const Kernel& kernel,
     const Span& cur = spans[s];
     if (cur.begin < prev.end && cur.block != prev.block) {
       throw util::CheckError(
-          "write overlap in kernel '" + kernel.name + "': blocks " +
+          "write overlap in kernel '" + kernel.name() + "': blocks " +
           std::to_string(prev.block) + " and " + std::to_string(cur.block) +
           " both wrote global memory bytes [" +
           std::to_string(std::max(prev.begin, cur.begin)) + ", " +

@@ -127,15 +127,15 @@ class BlockEngine {
         max_cycles_(options.max_cycles) {
     validate(kernel);
     build_loop_matches();
-    smem_.data.assign(static_cast<std::size_t>(std::max(kernel.smem_bytes, 1)), 0);
+    smem_.data.assign(static_cast<std::size_t>(std::max(kernel.smem_bytes(), 1)), 0);
     const int warps = kernel.warps_per_block();
     warps_.resize(static_cast<std::size_t>(warps));
     for (int w = 0; w < warps; ++w) {
       WarpState& warp = warps_[static_cast<std::size_t>(w)];
       warp.warp_index = w;
-      warp.vregs.assign(static_cast<std::size_t>(std::max(kernel.vreg_count, 1)), Lanes{});
+      warp.vregs.assign(static_cast<std::size_t>(std::max(kernel.vreg_count(), 1)), Lanes{});
       warp.vready.assign(warp.vregs.size(), 0);
-      warp.sregs.assign(static_cast<std::size_t>(std::max(kernel.sreg_count, 1)), 0);
+      warp.sregs.assign(static_cast<std::size_t>(std::max(kernel.sreg_count(), 1)), 0);
       warp.sready.assign(warp.sregs.size(), 0);
       for (std::size_t i = 0; i < scalar_args.size() && i < warp.sregs.size(); ++i) {
         warp.sregs[i] = scalar_args[i];
@@ -190,7 +190,7 @@ class BlockEngine {
         if (any_done || divergent) {
           throw LaunchTimeout(
               LaunchTimeout::Kind::kBarrierDeadlock,
-              "barrier deadlock in kernel " + kernel_.name + ": " +
+              "barrier deadlock in kernel " + kernel_.name() + ": " +
                   (any_done
                        ? "some warps finished while others wait at __syncthreads"
                        : "warps wait at different __syncthreads"),
@@ -223,12 +223,12 @@ class BlockEngine {
 
  private:
   void build_loop_matches() {
-    loop_match_.assign(kernel_.code.size(), 0);
+    loop_match_.assign(kernel_.code().size(), 0);
     std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < kernel_.code.size(); ++i) {
-      if (kernel_.code[i].op == Op::kLoop) {
+    for (std::size_t i = 0; i < kernel_.code().size(); ++i) {
+      if (kernel_.code()[i].op == Op::kLoop) {
         stack.push_back(i);
-      } else if (kernel_.code[i].op == Op::kEndLoop) {
+      } else if (kernel_.code()[i].op == Op::kEndLoop) {
         util::ensure(!stack.empty(), "interpreter: unbalanced loops");
         loop_match_[stack.back()] = i;
         loop_match_[i] = stack.back();
@@ -274,7 +274,7 @@ class BlockEngine {
     std::array<bool, kWarpSize> active{};
     const int base_tid = warp.warp_index * kWarpSize;
     for (int lane = 0; lane < kWarpSize; ++lane) {
-      bool on = base_tid + lane < kernel_.threads_per_block;
+      bool on = base_tid + lane < kernel_.threads_per_block();
       if (on && ins.pred >= 0) {
         const bool p =
             warp.vregs[static_cast<std::size_t>(ins.pred)][static_cast<std::size_t>(lane)] != 0;
@@ -344,8 +344,8 @@ class BlockEngine {
 
   // --- execution --------------------------------------------------------------
   void run_until_barrier(WarpState& warp) {
-    while (warp.pc < kernel_.code.size()) {
-      const Instr& ins = kernel_.code[warp.pc];
+    while (warp.pc < kernel_.code().size()) {
+      const Instr& ins = kernel_.code()[warp.pc];
       if (ins.op == Op::kBar) {
         // A predicated barrier a warp's lanes are all disabled for is
         // skipped — that warp never arrives, which is how divergent
@@ -462,7 +462,7 @@ class BlockEngine {
   void check_budget(long long cycles) const {
     if (max_cycles_ > 0 && cycles > max_cycles_) {
       throw LaunchTimeout(LaunchTimeout::Kind::kCycleBudget,
-                          "cycle budget exceeded in kernel " + kernel_.name + ": " +
+                          "cycle budget exceeded in kernel " + kernel_.name() + ": " +
                               std::to_string(cycles) + " > " +
                               std::to_string(max_cycles_) + " cycles",
                           cycles, max_cycles_);
@@ -705,7 +705,7 @@ class BlockEngine {
       any_active = true;
       const std::int64_t addr = as_i64(lane_value(warp, ins.a, lane)) + offset;
       util::require(addr >= 0 && static_cast<std::size_t>(addr) + bytes <= smem_.data.size(),
-                    "shared memory access out of bounds in kernel " + kernel_.name);
+                    "shared memory access out of bounds in kernel " + kernel_.name());
       const std::int64_t word = addr / 4;
       auto& words = bank_words[static_cast<std::size_t>(word % dev_.smem_banks)];
       if (std::find(words.begin(), words.end(), word) == words.end()) {

@@ -75,11 +75,11 @@ void validate_operand(const Kernel& k, const Operand& operand, const char* what)
     case Operand::Kind::kImmediate:
       return;
     case Operand::Kind::kVector:
-      util::require(operand.reg >= 0 && operand.reg < k.vreg_count,
+      util::require(operand.reg >= 0 && operand.reg < k.vreg_count(),
                     std::string("vector operand out of range in ") + what);
       return;
     case Operand::Kind::kScalar:
-      util::require(operand.reg >= 0 && operand.reg < k.sreg_count,
+      util::require(operand.reg >= 0 && operand.reg < k.sreg_count(),
                     std::string("scalar operand out of range in ") + what);
       return;
   }
@@ -111,21 +111,21 @@ std::string operand_str(const Operand& operand) {
 }  // namespace
 
 void validate(const Kernel& kernel) {
-  util::require(kernel.threads_per_block > 0 && kernel.threads_per_block % 32 == 0,
+  util::require(kernel.threads_per_block() > 0 && kernel.threads_per_block() % 32 == 0,
                 "kernel threads_per_block must be a positive multiple of 32");
   int loop_depth = 0;
-  for (const Instr& ins : kernel.code) {
-    validate_operand(kernel, ins.a, kernel.name.c_str());
-    validate_operand(kernel, ins.b, kernel.name.c_str());
-    validate_operand(kernel, ins.c, kernel.name.c_str());
+  for (const Instr& ins : kernel.code()) {
+    validate_operand(kernel, ins.a, kernel.name().c_str());
+    validate_operand(kernel, ins.b, kernel.name().c_str());
+    validate_operand(kernel, ins.c, kernel.name().c_str());
     if (ins.pred >= 0) {
-      util::require(ins.pred < kernel.vreg_count, "predicate register out of range");
+      util::require(ins.pred < kernel.vreg_count(), "predicate register out of range");
     }
     if (ins.dst >= 0) {
       if (is_scalar_op(ins.op)) {
-        util::require(ins.dst < kernel.sreg_count, "scalar dst out of range");
+        util::require(ins.dst < kernel.sreg_count(), "scalar dst out of range");
       } else {
-        util::require(ins.dst < kernel.vreg_count, "vector dst out of range");
+        util::require(ins.dst < kernel.vreg_count(), "vector dst out of range");
       }
     }
     if (ins.op == Op::kLoop) {
@@ -143,11 +143,11 @@ void validate(const Kernel& kernel) {
 
 std::string disassemble(const Kernel& kernel) {
   std::ostringstream oss;
-  oss << ".kernel " << kernel.name << " threads=" << kernel.threads_per_block
-      << " vregs=" << kernel.vreg_count << " sregs=" << kernel.sreg_count
-      << " smem=" << kernel.smem_bytes << "\n";
+  oss << ".kernel " << kernel.name() << " threads=" << kernel.threads_per_block()
+      << " vregs=" << kernel.vreg_count() << " sregs=" << kernel.sreg_count()
+      << " smem=" << kernel.smem_bytes() << "\n";
   int indent = 0;
-  for (const Instr& ins : kernel.code) {
+  for (const Instr& ins : kernel.code()) {
     if (ins.op == Op::kEndLoop) {
       --indent;
     }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wsim::simt {
@@ -115,19 +117,75 @@ struct Instr {
   bool pred_negate = false;
 };
 
+struct DeviceSpec;
+
 /// A compiled kernel: the instruction list plus the static resources that
 /// feed the occupancy calculator (paper Eq. 8). `vreg_count` plays the
 /// role of nvcc's reported registers/thread; `smem_bytes` is the static
 /// shared-memory allocation per block.
-struct Kernel {
-  std::string name;
-  std::vector<Instr> code;
-  int threads_per_block = 32;
-  int vreg_count = 0;
-  int sreg_count = 0;
-  int smem_bytes = 0;
+///
+/// The content is fixed at construction (KernelBuilder::build, or the
+/// constructor below for hand-written kernels); there are no setters. That
+/// is what lets kernel_identity memoize the kernel half of its hash on the
+/// Kernel at first use, so later launches hash only the device: the memo
+/// cannot go stale. Copies carry the memo; a moved-from kernel drops it. To
+/// change a kernel, build or construct a new one — assigning it replaces
+/// the content and the memo together.
+class Kernel {
+ public:
+  Kernel() = default;
+  Kernel(std::string name, int threads_per_block, std::vector<Instr> code = {},
+         int vreg_count = 0, int sreg_count = 0, int smem_bytes = 0)
+      : name_(std::move(name)),
+        code_(std::move(code)),
+        threads_per_block_(threads_per_block),
+        vreg_count_(vreg_count),
+        sreg_count_(sreg_count),
+        smem_bytes_(smem_bytes) {}
 
-  int warps_per_block() const noexcept { return (threads_per_block + 31) / 32; }
+  const std::string& name() const noexcept { return name_; }
+  const std::vector<Instr>& code() const noexcept { return code_; }
+  int threads_per_block() const noexcept { return threads_per_block_; }
+  int vreg_count() const noexcept { return vreg_count_; }
+  int sreg_count() const noexcept { return sreg_count_; }
+  int smem_bytes() const noexcept { return smem_bytes_; }
+
+  int warps_per_block() const noexcept { return (threads_per_block_ + 31) / 32; }
+
+  /// Whether kernel_identity has memoized this kernel's content hash yet.
+  bool identity_memoized() const noexcept {
+    return content_hash_.value.load() != 0;
+  }
+
+ private:
+  friend std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device);
+
+  /// FNV state after the kernel half of kernel_identity; 0 until first
+  /// use. Atomic so concurrent first launches race benignly (they store
+  /// the same value), copied by value so Kernel stays a value type.
+  struct HashMemo {
+    mutable std::atomic<std::uint64_t> value{0};
+
+    HashMemo() = default;
+    HashMemo(const HashMemo& other) noexcept : value(other.value.load()) {}
+    HashMemo(HashMemo&& other) noexcept : value(other.value.exchange(0)) {}
+    HashMemo& operator=(const HashMemo& other) noexcept {
+      value = other.value.load();
+      return *this;
+    }
+    HashMemo& operator=(HashMemo&& other) noexcept {
+      value = other.value.exchange(0);
+      return *this;
+    }
+  };
+
+  std::string name_;
+  std::vector<Instr> code_;
+  int threads_per_block_ = 32;
+  int vreg_count_ = 0;
+  int sreg_count_ = 0;
+  int smem_bytes_ = 0;
+  HashMemo content_hash_;
 };
 
 /// Structural validation: balanced loops, register ids in range, operand

@@ -89,8 +89,8 @@ Occupancy compute_occupancy(const DeviceSpec& device, int threads_per_block,
 }
 
 Occupancy compute_occupancy(const DeviceSpec& device, const Kernel& kernel) {
-  return compute_occupancy(device, kernel.threads_per_block, kernel.vreg_count,
-                           kernel.smem_bytes);
+  return compute_occupancy(device, kernel.threads_per_block(), kernel.vreg_count(),
+                           kernel.smem_bytes());
 }
 
 }  // namespace wsim::simt

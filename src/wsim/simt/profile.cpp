@@ -11,10 +11,10 @@ namespace wsim::simt {
 ProfileReport profile_block(const Kernel& kernel, const DeviceSpec& device,
                             const BlockResult& block, std::size_t cells) {
   ProfileReport r;
-  r.kernel_name = kernel.name;
-  r.threads_per_block = kernel.threads_per_block;
-  r.regs_per_thread = kernel.vreg_count;
-  r.smem_bytes = kernel.smem_bytes;
+  r.kernel_name = kernel.name();
+  r.threads_per_block = kernel.threads_per_block();
+  r.regs_per_thread = kernel.vreg_count();
+  r.smem_bytes = kernel.smem_bytes();
   const Occupancy occ = compute_occupancy(device, kernel);
   r.occupancy = occ.fraction;
   r.occupancy_limiter = std::string(to_string(occ.limiter));

@@ -73,8 +73,13 @@ void ThreadPool::worker_loop() {
     }
     if (job != nullptr) {
       run_job(*job);
+      // The Job lives on the submitter's stack and dies as soon as its
+      // wait sees holders == 0. Releasing the hold under job->mu (which
+      // that wait's predicate is checked under) means the submitter cannot
+      // observe the release until this worker has unlocked — the last
+      // access this worker ever makes to the Job.
+      std::lock_guard<std::mutex> lock(job->mu);
       if (job->holders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(job->mu);
         job->finished.notify_all();
       }
     }

@@ -27,7 +27,7 @@ TEST(Builder, SmemAllocationAlignsAndAccumulates) {
   EXPECT_EQ(kb.alloc_smem(4, 16), 16);
   kb.mov(imm_i64(0));
   const Kernel k = kb.build();
-  EXPECT_EQ(k.smem_bytes, 20);
+  EXPECT_EQ(k.smem_bytes(), 20);
 }
 
 TEST(Builder, SmemAllocationRejectsBadArgs) {
@@ -97,7 +97,7 @@ TEST(RegisterAllocator, SequentialTemporariesReuseOneRegister) {
   }
   kb.stg(kb.imul(last, imm_i64(4)), last);
   const Kernel k = kb.build();
-  EXPECT_LE(k.vreg_count, 4);
+  EXPECT_LE(k.vreg_count(), 4);
 }
 
 TEST(RegisterAllocator, SimultaneouslyLiveValuesGetDistinctRegisters) {
@@ -108,7 +108,7 @@ TEST(RegisterAllocator, SimultaneouslyLiveValuesGetDistinctRegisters) {
   const VReg sum = kb.iadd(kb.iadd(a, b), c);
   kb.stg(kb.mov(imm_i64(0)), sum);
   const Kernel k = kb.build();
-  EXPECT_GE(k.vreg_count, 3);
+  EXPECT_GE(k.vreg_count(), 3);
 }
 
 TEST(RegisterAllocator, LoopCarriedValueSurvivesWholeLoop) {
@@ -128,7 +128,7 @@ TEST(RegisterAllocator, LoopCarriedValueSurvivesWholeLoop) {
   kb.stg(kb.mov(imm_i64(0)), reg2);
   const Kernel k = kb.build();
   // reg2, reg3, cur and the two shuffle results overlap inside the loop.
-  EXPECT_GE(k.vreg_count, 3);
+  EXPECT_GE(k.vreg_count(), 3);
 
   // Functional spot check happens in interpreter_test; here we only check
   // that validation passes on the rewritten code.
@@ -136,15 +136,11 @@ TEST(RegisterAllocator, LoopCarriedValueSurvivesWholeLoop) {
 }
 
 TEST(Isa, ValidateRejectsOutOfRangeRegisters) {
-  Kernel k;
-  k.name = "bad";
-  k.threads_per_block = 32;
-  k.vreg_count = 1;
   wsim::simt::Instr ins;
   ins.op = Op::kMov;
   ins.dst = 5;  // out of range
   ins.a = Operand::immediate(0);
-  k.code.push_back(ins);
+  const Kernel k("bad", 32, {ins}, /*vreg_count=*/1);
   EXPECT_THROW(wsim::simt::validate(k), CheckError);
 }
 

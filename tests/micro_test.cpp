@@ -86,7 +86,7 @@ TEST(Micro, RejectsBadInputs) {
 
 TEST(Micro, KernelNames) {
   EXPECT_EQ(wsim::micro::to_string(MicroKernel::kShflXor), "shfl_xor");
-  EXPECT_EQ(build_micro_kernel(MicroKernel::kSharedMemSync).name, "sharedmem_sync");
+  EXPECT_EQ(build_micro_kernel(MicroKernel::kSharedMemSync).name(), "sharedmem_sync");
 }
 
 TEST(Micro, SweepHasTenPoints) {

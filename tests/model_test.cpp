@@ -122,9 +122,7 @@ TEST(Breakdown, CommCyclesUseLatencyTable) {
 }
 
 TEST(Breakdown, RejectsLooplessKernel) {
-  wsim::simt::Kernel kernel;
-  kernel.name = "flat";
-  kernel.threads_per_block = 32;
+  const wsim::simt::Kernel kernel("flat", 32);
   EXPECT_THROW(hot_loop_breakdown(kernel), wsim::util::CheckError);
 }
 

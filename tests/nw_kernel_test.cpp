@@ -127,8 +127,8 @@ INSTANTIATE_TEST_SUITE_P(Designs, NwKernelModes,
 TEST(NwKernelDesign, SameTradeOffAsSw) {
   const NwRunner nw1(CommMode::kSharedMemory);
   const NwRunner nw2(CommMode::kShuffle);
-  EXPECT_GT(nw1.kernel().smem_bytes, 0);
-  EXPECT_EQ(nw2.kernel().smem_bytes, 0);
+  EXPECT_GT(nw1.kernel().smem_bytes(), 0);
+  EXPECT_EQ(nw2.kernel().smem_bytes(), 0);
   wsim::util::Rng rng(37);
   const SwBatch batch = {{random_dna(rng, 64), random_dna(rng, 64)}};
   const auto r1 = nw1.run_batch(kDev, batch);

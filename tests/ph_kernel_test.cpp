@@ -176,8 +176,8 @@ TEST(PhKernelDesign, ShuffleUsesNoSharedMemoryOrBarriers) {
   const PhRunner runner(CommMode::kShuffle);
   for (std::size_t len : {16U, 48U, 80U, 112U}) {
     const auto& kernel = runner.kernel_for_read_len(len);
-    EXPECT_EQ(kernel.smem_bytes, 0);
-    for (const auto& ins : kernel.code) {
+    EXPECT_EQ(kernel.smem_bytes(), 0);
+    for (const auto& ins : kernel.code()) {
       EXPECT_NE(ins.op, wsim::simt::Op::kBar);
     }
   }
@@ -185,17 +185,17 @@ TEST(PhKernelDesign, ShuffleUsesNoSharedMemoryOrBarriers) {
 
 TEST(PhKernelDesign, SharedVariantsScaleLineBuffers) {
   const PhRunner runner(CommMode::kSharedMemory);
-  EXPECT_EQ(runner.kernel_for_read_len(16).smem_bytes, 9 * 32 * 4);
-  EXPECT_EQ(runner.kernel_for_read_len(100).smem_bytes, 9 * 128 * 4);
-  EXPECT_EQ(runner.kernel_for_read_len(16).threads_per_block, 32);
-  EXPECT_EQ(runner.kernel_for_read_len(100).threads_per_block, 128);
+  EXPECT_EQ(runner.kernel_for_read_len(16).smem_bytes(), 9 * 32 * 4);
+  EXPECT_EQ(runner.kernel_for_read_len(100).smem_bytes(), 9 * 128 * 4);
+  EXPECT_EQ(runner.kernel_for_read_len(16).threads_per_block(), 32);
+  EXPECT_EQ(runner.kernel_for_read_len(100).threads_per_block(), 128);
 }
 
 TEST(PhKernelDesign, RegisterBlockingRaisesRegisterUse) {
   // The paper's PH2 trade-off: more cells per thread -> more registers.
   const auto c1 = wsim::kernels::build_ph_shuffle_kernel(1);
   const auto c4 = wsim::kernels::build_ph_shuffle_kernel(4);
-  EXPECT_GT(c4.vreg_count, 2 * c1.vreg_count);
+  EXPECT_GT(c4.vreg_count(), 2 * c1.vreg_count());
 }
 
 TEST(PhKernelDesign, ShuffleDropsOccupancyButWinsThroughput) {

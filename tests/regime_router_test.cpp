@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "wsim/fleet/fleet.hpp"
 #include "wsim/fleet/router.hpp"
 #include "wsim/kernels/wavefront_kernels.hpp"
+#include "wsim/simt/decode.hpp"
 #include "wsim/simt/device.hpp"
+#include "wsim/simt/occupancy.hpp"
 #include "wsim/util/check.hpp"
 #include "wsim/workload/batching.hpp"
 #include "wsim/workload/generator.hpp"
@@ -305,6 +309,89 @@ TEST(RegimeFleet, PinnedWfVariantIsHonoured) {
   const auto exec = executor.execute_sw(batch, 0.0);
   ASSERT_EQ(exec.result.outputs.size(), batch.size());
   EXPECT_EQ(executor.stats().devices[0].intra_batches, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// plan_device: one compile per distinct kernel, same answers
+// ---------------------------------------------------------------------------
+
+void expect_same_occupancy(const simt::Occupancy& a, const simt::Occupancy& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.blocks_per_sm, b.blocks_per_sm) << what;
+  EXPECT_EQ(a.active_warps_per_sm, b.active_warps_per_sm) << what;
+  EXPECT_EQ(a.active_threads_per_sm, b.active_threads_per_sm) << what;
+  EXPECT_EQ(a.fraction, b.fraction) << what;
+  EXPECT_EQ(a.limiter, b.limiter) << what;
+}
+
+TEST(DevicePlan, MatchesTheOnePredictionPerCompileModel) {
+  // The oracle is the model asked one question at a time, each answer
+  // compiling its own kernels, with pins applied on top of the unpinned
+  // regime model. plan_device must agree bit for bit on every device and
+  // pin combination.
+  using kernels::CommMode;
+  using kernels::PhDesign;
+  using kernels::WfVariant;
+  const std::vector<std::optional<CommMode>> sw_pins = {
+      std::nullopt, CommMode::kSharedMemory, CommMode::kShuffle};
+  const std::vector<std::optional<PhDesign>> ph_pins = {
+      std::nullopt, PhDesign::kShared, PhDesign::kShuffle, PhDesign::kHybrid};
+  const std::vector<std::optional<WfVariant>> wf_pins = {
+      std::nullopt, WfVariant::kShuffle, WfVariant::kSharedMemory,
+      WfVariant::kHostSyncNaive};
+  for (const simt::DeviceSpec& device : all_devices()) {
+    const fleet::VariantChoice choice = fleet::pick_variants(device);
+    const fleet::IntraTaskModel unpinned = fleet::build_intra_task_model(device);
+    for (std::size_t i = 0; i < std::max({sw_pins.size(), ph_pins.size(), wf_pins.size()});
+         ++i) {
+      const auto sw_pin = sw_pins[i % sw_pins.size()];
+      const auto ph_pin = ph_pins[i % ph_pins.size()];
+      const auto wf_pin = wf_pins[i % wf_pins.size()];
+      const std::string what = device.name + " pins #" + std::to_string(i);
+      const fleet::DevicePlan plan = fleet::plan_device(device, sw_pin, ph_pin, wf_pin);
+
+      const CommMode sw = sw_pin.value_or(choice.sw_design);
+      const PhDesign ph = ph_pin.value_or(choice.ph_design);
+      const WfVariant wf = wf_pin.value_or(unpinned.wf_variant);
+      EXPECT_EQ(plan.sw_design, sw) << what;
+      EXPECT_EQ(plan.ph_design, ph) << what;
+      EXPECT_EQ(plan.wf_variant, wf) << what;
+      EXPECT_EQ(plan.sw_gcups, fleet::predicted_sw_gcups(device, sw)) << what;
+      EXPECT_EQ(plan.ph_gcups, fleet::predicted_ph_gcups(device, ph)) << what;
+
+      const simt::Kernel sw_kernel = kernels::build_sw_kernel(sw, {});
+      const simt::Kernel wf_kernel = kernels::build_wf_sw_kernel(wf, {});
+      EXPECT_EQ(plan.intra.sw_design, sw) << what;
+      EXPECT_EQ(plan.intra.sw_latency, fleet::sw_iteration_latency(device, sw)) << what;
+      expect_same_occupancy(plan.intra.sw_occupancy,
+                            simt::compute_occupancy(device, sw_kernel), what);
+      EXPECT_EQ(plan.intra.sw_threads_per_block, sw_kernel.threads_per_block()) << what;
+      EXPECT_EQ(plan.intra.wf_variant, wf) << what;
+      EXPECT_EQ(plan.intra.wf_latency, fleet::wf_iteration_latency(device, wf)) << what;
+      expect_same_occupancy(plan.intra.wf_occupancy,
+                            simt::compute_occupancy(device, wf_kernel), what);
+      EXPECT_EQ(plan.intra.wf_threads_per_block, wf_kernel.threads_per_block()) << what;
+      EXPECT_EQ(plan.intra.tile_rows, unpinned.tile_rows) << what;
+
+      // The runners hold exactly the kernels a fresh runner would build.
+      EXPECT_EQ(plan.sw_runner.comm_mode(), sw) << what;
+      EXPECT_EQ(simt::kernel_identity(plan.sw_runner.kernel(), device),
+                simt::kernel_identity(sw_kernel, device))
+          << what;
+      EXPECT_EQ(plan.wf_runner.variant(), wf) << what;
+      EXPECT_EQ(simt::kernel_identity(plan.wf_runner.kernel(), device),
+                simt::kernel_identity(wf_kernel, device))
+          << what;
+      EXPECT_EQ(plan.ph_runner.design(), ph) << what;
+      const kernels::PhRunner fresh_ph(ph);
+      for (int v = 0; v < kernels::kPhVariants; ++v) {
+        const auto read_len = static_cast<std::size_t>(32 * v + 1);
+        EXPECT_EQ(simt::kernel_identity(plan.ph_runner.kernel_for_read_len(read_len), device),
+                  simt::kernel_identity(fresh_ph.kernel_for_read_len(read_len), device))
+            << what << " variant " << v;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

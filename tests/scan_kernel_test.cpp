@@ -76,8 +76,8 @@ TEST(ScanDesign, ShuffleScanIsFasterPerBlock) {
 
 TEST(ScanDesign, SingleWarpShuffleScanNeedsNoMemoryAtAll) {
   const auto kernel = build_scan_kernel(CommMode::kShuffle, 32);
-  EXPECT_EQ(kernel.smem_bytes, 0);
-  for (const auto& ins : kernel.code) {
+  EXPECT_EQ(kernel.smem_bytes(), 0);
+  for (const auto& ins : kernel.code()) {
     EXPECT_NE(ins.op, wsim::simt::Op::kBar);
     EXPECT_NE(ins.op, wsim::simt::Op::kLds);
     EXPECT_NE(ins.op, wsim::simt::Op::kSts);
@@ -91,7 +91,7 @@ TEST(ScanDesign, MultiWarpShuffleCrossesSmemExactlyOnce) {
   const auto shared = build_scan_kernel(CommMode::kSharedMemory, 128);
   auto count = [](const wsim::simt::Kernel& k, wsim::simt::Op op) {
     std::size_t n = 0;
-    for (const auto& ins : k.code) {
+    for (const auto& ins : k.code()) {
       n += ins.op == op ? 1 : 0;
     }
     return n;

@@ -193,13 +193,13 @@ INSTANTIATE_TEST_SUITE_P(Designs, SwKernelModes,
 TEST(SwKernelDesign, ShuffleFreesSharedMemory) {
   const SwRunner sw1(CommMode::kSharedMemory);
   const SwRunner sw2(CommMode::kShuffle);
-  EXPECT_GT(sw1.kernel().smem_bytes, 4096);  // line buffers + btrack tile
-  EXPECT_EQ(sw2.kernel().smem_bytes, 0);
+  EXPECT_GT(sw1.kernel().smem_bytes(), 4096);  // line buffers + btrack tile
+  EXPECT_EQ(sw2.kernel().smem_bytes(), 0);
 }
 
 TEST(SwKernelDesign, ShuffleKernelHasNoBarriers) {
   const SwRunner sw2(CommMode::kShuffle);
-  for (const auto& ins : sw2.kernel().code) {
+  for (const auto& ins : sw2.kernel().code()) {
     EXPECT_NE(ins.op, wsim::simt::Op::kBar);
     EXPECT_NE(ins.op, wsim::simt::Op::kLds);
     EXPECT_NE(ins.op, wsim::simt::Op::kSts);
@@ -208,7 +208,7 @@ TEST(SwKernelDesign, ShuffleKernelHasNoBarriers) {
 
 TEST(SwKernelDesign, SharedKernelHasNoShuffles) {
   const SwRunner sw1(CommMode::kSharedMemory);
-  for (const auto& ins : sw1.kernel().code) {
+  for (const auto& ins : sw1.kernel().code()) {
     EXPECT_NE(ins.op, wsim::simt::Op::kShfl);
     EXPECT_NE(ins.op, wsim::simt::Op::kShflUp);
     EXPECT_NE(ins.op, wsim::simt::Op::kShflDown);
@@ -323,7 +323,7 @@ TEST(SwKernelBsize, LargerTilesCostOccupancy) {
   const auto occ32 = wsim::simt::compute_occupancy(kDev, b32.kernel());
   const auto occ96 = wsim::simt::compute_occupancy(kDev, b96.kernel());
   EXPECT_GT(occ32.fraction, occ96.fraction);
-  EXPECT_GT(b96.kernel().smem_bytes, 4 * b32.kernel().smem_bytes);
+  EXPECT_GT(b96.kernel().smem_bytes(), 4 * b32.kernel().smem_bytes());
 }
 
 }  // namespace

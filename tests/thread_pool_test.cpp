@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -105,6 +106,40 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     total += sum.load();
   }
   EXPECT_EQ(total, 200LL * (15 * 16 / 2));
+}
+
+TEST(ThreadPool, StressManyTinyJobsOnTwoThreads) {
+  // Each parallel_for's Job lives on the caller's stack and the next call
+  // reuses that slot, so a worker that touches a finished Job corrupts or
+  // deadlocks a later one. Index 0 waits briefly for index 1 to be
+  // claimed, so the worker usually takes it and its release of the Job
+  // races the caller's return, 10^5 times over. Under ASan/TSan the race
+  // is reported; otherwise it shows as a hang (the ctest TIMEOUT) or a
+  // wrong total.
+  ThreadPool pool(2);
+  constexpr int kJobs = 100000;
+  const std::thread::id caller = std::this_thread::get_id();
+  long long total = 0;
+  int worker_jobs = 0;
+  for (int job = 0; job < kJobs; ++job) {
+    std::atomic<int> claimed{0};
+    std::atomic<int> sum{0};
+    std::atomic<bool> worker_ran{false};
+    pool.parallel_for(2, [&](std::size_t i) {
+      claimed.fetch_add(1);
+      for (int spin = 0; spin < 1000 && claimed.load() < 2; ++spin) {
+        std::this_thread::yield();
+      }
+      if (std::this_thread::get_id() != caller) {
+        worker_ran.store(true);
+      }
+      sum.fetch_add(static_cast<int>(i) + 1);
+    });
+    total += sum.load();
+    worker_jobs += worker_ran.load() ? 1 : 0;
+  }
+  EXPECT_EQ(total, 3LL * kJobs);
+  EXPECT_GT(worker_jobs, 0) << "the worker never took an index: the race went unexercised";
 }
 
 }  // namespace

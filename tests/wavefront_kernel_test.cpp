@@ -303,15 +303,15 @@ TEST(WfNaive, RejectsOversizedTasks) {
 TEST(WfDesign, ShuffleVariantUsesNoSharedMemory) {
   const WavefrontSwRunner shuffle(WfVariant::kShuffle);
   const WavefrontSwRunner shared(WfVariant::kSharedMemory);
-  EXPECT_EQ(shuffle.kernel().smem_bytes, 0);
-  EXPECT_GT(shared.kernel().smem_bytes, 0);
-  for (const auto& ins : shuffle.kernel().code) {
+  EXPECT_EQ(shuffle.kernel().smem_bytes(), 0);
+  EXPECT_GT(shared.kernel().smem_bytes(), 0);
+  for (const auto& ins : shuffle.kernel().code()) {
     EXPECT_NE(ins.op, wsim::simt::Op::kBar);
     EXPECT_NE(ins.op, wsim::simt::Op::kLds);
     EXPECT_NE(ins.op, wsim::simt::Op::kSts);
   }
   bool has_shfl = false;
-  for (const auto& ins : shared.kernel().code) {
+  for (const auto& ins : shared.kernel().code()) {
     has_shfl = has_shfl || ins.op == wsim::simt::Op::kShflUp;
   }
   EXPECT_FALSE(has_shfl);

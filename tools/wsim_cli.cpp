@@ -179,7 +179,7 @@ int cmd_sw(const Args& args) {
   const auto result = runner.run_batch(
       dev, {{args.positional[0], args.positional[1]}}, opt);
   const auto& out = result.outputs.front();
-  std::cout << "kernel:   " << runner.kernel().name << " on " << dev.name << '\n'
+  std::cout << "kernel:   " << runner.kernel().name() << " on " << dev.name << '\n'
             << "score:    " << out.best_score << '\n'
             << "cigar:    " << out.alignment.cigar << '\n'
             << "query:    [" << out.alignment.query_begin << ", "
@@ -216,7 +216,7 @@ int cmd_nw(const Args& args) {
       dev, {{args.positional[0], args.positional[1]}}, opt);
   const auto host =
       wsim::align::nw_align(args.positional[0], args.positional[1], {});
-  std::cout << "kernel: " << runner.kernel().name << " on " << dev.name << '\n'
+  std::cout << "kernel: " << runner.kernel().name() << " on " << dev.name << '\n'
             << "score:  " << result.scores.front() << '\n'
             << "cigar:  " << host.cigar << " (host backtrace)\n"
             << "cycles: " << result.run.launch.representative.cycles << '\n';
@@ -436,7 +436,7 @@ int cmd_sw_run(const Args& args) {
     outputs = std::move(result.outputs);
     launches = result.launches;
     blocks = result.blocks;
-    kernel_name = runner.kernel().name;
+    kernel_name = runner.kernel().name();
   } else {
     const wsim::kernels::SwRunner runner(choice.inter_mode, params);
     wsim::kernels::SwRunOptions opt;
@@ -450,7 +450,7 @@ int cmd_sw_run(const Args& args) {
     auto result = runner.run_batch(dev, batch, opt);
     run = std::move(result.run);
     outputs = std::move(result.outputs);
-    kernel_name = runner.kernel().name;
+    kernel_name = runner.kernel().name();
   }
 
   wsim::util::Table table({"metric", "value"});

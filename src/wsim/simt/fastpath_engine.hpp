@@ -127,11 +127,11 @@ std::uint64_t lane_apply(const Ref& ra, const Ref& rb, const Ref& rc, Cmp cmp,
   } else if constexpr (L == LaneOp::kFMin) {
     return from_f32(std::min(as_f32(a), as_f32(b)));
   } else if constexpr (L == LaneOp::kIAdd) {
-    return from_i64(as_i64(a) + as_i64(b));
+    return a + b;  // wrapping: two's-complement arithmetic on the raw bits
   } else if constexpr (L == LaneOp::kISub) {
-    return from_i64(as_i64(a) - as_i64(b));
+    return a - b;
   } else if constexpr (L == LaneOp::kIMul) {
-    return from_i64(as_i64(a) * as_i64(b));
+    return a * b;
   } else if constexpr (L == LaneOp::kIMax) {
     return from_i64(std::max(as_i64(a), as_i64(b)));
   } else if constexpr (L == LaneOp::kIMin) {
@@ -191,14 +191,14 @@ struct EngineBase {
         gmem_(gmem),
         trace_(options.trace),
         writes_(options.writes),
-        sdc_(options.sdc != nullptr && options.sdc->enabled() ? options.sdc : nullptr),
-        sdc_stream_(options.sdc_stream),
+        sdc_(options.sdc != nullptr ? options.sdc->block(options.sdc_stream)
+                                    : SdcPlan::Block{}),
         max_cycles_(options.max_cycles),
         // Fused lane-interleaved loops reorder per-lane write events across
         // the group's constituents; under SDC injection that would renumber
         // events, so fused groups fall back to constituent-at-a-time
         // execution (still on the decoded form).
-        use_fused_(sdc_ == nullptr) {
+        use_fused_(!sdc_.active()) {
     smem_.assign(static_cast<std::size_t>(prog.smem_bytes), 0);
     warps_.resize(static_cast<std::size_t>(prog.warps));
     for (int w = 0; w < prog.warps; ++w) {
@@ -381,11 +381,11 @@ struct EngineBase {
   }
 
   std::uint64_t maybe_corrupt(std::uint64_t value, SdcSite site) {
-    if (sdc_ == nullptr) {
+    if (!sdc_.active()) {
       return value;
     }
     int bit = 0;
-    if (sdc_->flips(sdc_stream_, sdc_events_++, site, &bit)) {
+    if (sdc_.flips(sdc_events_++, site, &bit)) [[unlikely]] {
       result_.sdc_flips += 1;
       value ^= std::uint64_t{1} << bit;
     }
@@ -579,17 +579,14 @@ struct EngineBase {
       case Op::kSMov:
         out = scalar_operand(warp, d.a);
         break;
-      case Op::kSAdd:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) +
-                       as_i64(scalar_operand(warp, d.b)));
+      case Op::kSAdd:  // wrapping, like kIAdd
+        out = scalar_operand(warp, d.a) + scalar_operand(warp, d.b);
         break;
       case Op::kSSub:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) -
-                       as_i64(scalar_operand(warp, d.b)));
+        out = scalar_operand(warp, d.a) - scalar_operand(warp, d.b);
         break;
       case Op::kSMul:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) *
-                       as_i64(scalar_operand(warp, d.b)));
+        out = scalar_operand(warp, d.a) * scalar_operand(warp, d.b);
         break;
       case Op::kSMin:
         out = from_i64(std::min(as_i64(scalar_operand(warp, d.a)),
@@ -797,8 +794,7 @@ struct EngineBase {
   std::unordered_set<std::int64_t> warm_segments_;
   Trace* trace_ = nullptr;
   GmemWriteSet* writes_ = nullptr;
-  const SdcPlan* sdc_ = nullptr;
-  std::uint64_t sdc_stream_ = 0;
+  SdcPlan::Block sdc_;
   std::uint64_t sdc_events_ = 0;
   long long max_cycles_ = 0;
   bool use_fused_ = true;

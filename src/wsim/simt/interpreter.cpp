@@ -122,8 +122,8 @@ class BlockEngine {
         gmem_(gmem),
         trace_(options.trace),
         writes_(options.writes),
-        sdc_(options.sdc != nullptr && options.sdc->enabled() ? options.sdc : nullptr),
-        sdc_stream_(options.sdc_stream),
+        sdc_(options.sdc != nullptr ? options.sdc->block(options.sdc_stream)
+                                    : SdcPlan::Block{}),
         max_cycles_(options.max_cycles) {
     validate(kernel);
     build_loop_matches();
@@ -474,11 +474,11 @@ class BlockEngine {
   /// or not the draw fires, so flip positions are a pure function of the
   /// plan and the block's execution, never of other blocks or threads.
   std::uint64_t maybe_corrupt(std::uint64_t value, SdcSite site) {
-    if (sdc_ == nullptr) {
+    if (!sdc_.active()) {
       return value;
     }
     int bit = 0;
-    if (sdc_->flips(sdc_stream_, sdc_events_++, site, &bit)) {
+    if (sdc_.flips(sdc_events_++, site, &bit)) [[unlikely]] {
       result_.sdc_flips += 1;
       value ^= std::uint64_t{1} << bit;
     }
@@ -495,17 +495,17 @@ class BlockEngine {
       case Op::kSMov:
         warp.sregs[static_cast<std::size_t>(ins.dst)] = scalar_value(warp, ins.a);
         return;
-      case Op::kSAdd:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) + as_i64(scalar_value(warp, ins.b)));
+      case Op::kSAdd:  // wrapping, like kIAdd
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) + scalar_value(warp, ins.b);
         return;
       case Op::kSSub:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) - as_i64(scalar_value(warp, ins.b)));
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) - scalar_value(warp, ins.b);
         return;
       case Op::kSMul:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) * as_i64(scalar_value(warp, ins.b)));
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) * scalar_value(warp, ins.b);
         return;
       case Op::kSMin:
         warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(std::min(
@@ -568,14 +568,14 @@ class BlockEngine {
         case Op::kFMin:
           out = from_f32(std::min(as_f32(a), as_f32(b)));
           break;
-        case Op::kIAdd:
-          out = from_i64(as_i64(a) + as_i64(b));
+        case Op::kIAdd:  // wrapping: two's-complement arithmetic on the raw bits
+          out = a + b;
           break;
         case Op::kISub:
-          out = from_i64(as_i64(a) - as_i64(b));
+          out = a - b;
           break;
         case Op::kIMul:
-          out = from_i64(as_i64(a) * as_i64(b));
+          out = a * b;
           break;
         case Op::kIMax:
           out = from_i64(std::max(as_i64(a), as_i64(b)));
@@ -777,8 +777,7 @@ class BlockEngine {
   std::unordered_set<std::int64_t> warm_segments_;
   Trace* trace_ = nullptr;
   GmemWriteSet* writes_ = nullptr;
-  const SdcPlan* sdc_ = nullptr;
-  std::uint64_t sdc_stream_ = 0;
+  SdcPlan::Block sdc_;
   std::uint64_t sdc_events_ = 0;
   long long max_cycles_ = 0;
   BlockResult result_;

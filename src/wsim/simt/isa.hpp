@@ -27,7 +27,7 @@ enum class Op : std::uint8_t {
   kFFma,     ///< dst = a * b + c
   kFMax,     ///< dst = max(a, b)
   kFMin,     ///< dst = min(a, b)
-  // --- integer arithmetic (64-bit signed) ---
+  // --- integer arithmetic (64-bit signed; add/sub/mul wrap mod 2^64) ---
   kIAdd,     ///< dst = a + b
   kISub,     ///< dst = a - b
   kIMul,     ///< dst = a * b
@@ -53,7 +53,7 @@ enum class Op : std::uint8_t {
   kStg,      ///< global[a + b] = c
   // --- synchronization ---
   kBar,      ///< __syncthreads()
-  // --- scalar (block-uniform) arithmetic ---
+  // --- scalar (block-uniform) arithmetic; add/sub/mul wrap like kIAdd ---
   kSMov,     ///< sdst = a
   kSAdd,     ///< sdst = a + b
   kSSub,     ///< sdst = a - b

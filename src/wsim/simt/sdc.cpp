@@ -2,34 +2,7 @@
 
 namespace wsim::simt {
 
-namespace {
-
-/// splitmix64 finalizer: full-avalanche mix, so consecutive event numbers
-/// give independent-looking draws.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-bool SdcPlan::flips(std::uint64_t stream, std::uint64_t event, SdcSite site,
-                    int* bit) const noexcept {
-  if (flip_prob <= 0.0 || !site_enabled(site)) {
-    return false;
-  }
-  std::uint64_t h = mix(kDomain ^ seed);
-  h = mix(h ^ stream);
-  h = mix(h ^ (event * 4 + static_cast<std::uint64_t>(site)));
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  if (u >= flip_prob) {
-    return false;
-  }
-  *bit = static_cast<int>(mix(h) & 31);
-  return true;
-}
+using sdc_detail::mix;
 
 std::uint64_t sdc_device_hash(std::string_view device_name) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -276,17 +276,13 @@ WSIM_VEC_INLINE void vec_exec(const VecArgs& x) noexcept {
         }
         const F32 f = m ? b : a;
         r = vbits<U64>(f) & f32_mask;
-      } else if constexpr (L == LaneOp::kIAdd || L == LaneOp::kISub ||
-                           L == LaneOp::kIMul) {
-        const I64 a = vbits<I64>(operand_chunk<T>(x.a, c));
-        const I64 b = vbits<I64>(operand_chunk<T>(x.b, c));
-        if constexpr (L == LaneOp::kIAdd) {
-          r = vbits<U64>(I64(a + b));
-        } else if constexpr (L == LaneOp::kISub) {
-          r = vbits<U64>(I64(a - b));
-        } else {
-          r = vbits<U64>(I64(a * b));
-        }
+      } else if constexpr (L == LaneOp::kIAdd) {
+        // Wrapping, as in the scalar engines: unsigned lanes on the raw bits.
+        r = operand_chunk<T>(x.a, c) + operand_chunk<T>(x.b, c);
+      } else if constexpr (L == LaneOp::kISub) {
+        r = operand_chunk<T>(x.a, c) - operand_chunk<T>(x.b, c);
+      } else if constexpr (L == LaneOp::kIMul) {
+        r = operand_chunk<T>(x.a, c) * operand_chunk<T>(x.b, c);
       } else if constexpr (L == LaneOp::kIMax || L == LaneOp::kIMin) {
         const I64 a = vbits<I64>(operand_chunk<T>(x.a, c));
         const I64 b = vbits<I64>(operand_chunk<T>(x.b, c));

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wsim/fleet/fault.hpp"
@@ -47,8 +49,8 @@ TEST(SdcPlan, DecisionsAreDeterministic) {
   for (std::uint64_t event = 0; event < 200; ++event) {
     int bit_a = -1;
     int bit_b = -1;
-    const bool a = plan.flips(7, event, SdcSite::kRegWrite, &bit_a);
-    const bool b = plan.flips(7, event, SdcSite::kRegWrite, &bit_b);
+    const bool a = plan.block(7).flips(event, SdcSite::kRegWrite, &bit_a);
+    const bool b = plan.block(7).flips(event, SdcSite::kRegWrite, &bit_b);
     EXPECT_EQ(a, b) << event;
     if (a) {
       EXPECT_EQ(bit_a, bit_b) << event;
@@ -66,9 +68,9 @@ TEST(SdcPlan, StreamsAndSitesDrawIndependently) {
   std::uint64_t stream_diff = 0;
   std::uint64_t site_diff = 0;
   for (std::uint64_t event = 0; event < 256; ++event) {
-    const bool s0 = plan.flips(0, event, SdcSite::kRegWrite, &bit);
-    const bool s1 = plan.flips(1, event, SdcSite::kRegWrite, &bit);
-    const bool smem = plan.flips(0, event, SdcSite::kSmemStore, &bit);
+    const bool s0 = plan.block(0).flips(event, SdcSite::kRegWrite, &bit);
+    const bool s1 = plan.block(1).flips(event, SdcSite::kRegWrite, &bit);
+    const bool smem = plan.block(0).flips(event, SdcSite::kSmemStore, &bit);
     stream_diff += static_cast<std::uint64_t>(s0 != s1);
     site_diff += static_cast<std::uint64_t>(s0 != smem);
   }
@@ -95,6 +97,171 @@ TEST(SdcPlan, SiteGatesAndEnableSemantics) {
 }
 
 // ---------------------------------------------------------------------------
+// SdcPlan::Block: the per-block draw must reproduce, event for event and
+// bit for bit, the original per-event formula below (four splitmix rounds
+// and a floating-point compare per event), which is kept verbatim here as
+// the reference.
+
+std::uint64_t reference_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+bool reference_flips(const SdcPlan& plan, std::uint64_t stream, std::uint64_t event,
+                     SdcSite site, int* bit) {
+  if (plan.flip_prob <= 0.0 || !plan.site_enabled(site)) {
+    return false;
+  }
+  std::uint64_t h = reference_mix(SdcPlan::kDomain ^ plan.seed);
+  h = reference_mix(h ^ stream);
+  h = reference_mix(h ^ (event * 4 + static_cast<std::uint64_t>(site)));
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  if (u >= plan.flip_prob) {
+    return false;
+  }
+  *bit = static_cast<int>(reference_mix(h) & 31);
+  return true;
+}
+
+constexpr SdcSite kAllSites[] = {SdcSite::kRegWrite, SdcSite::kSmemStore,
+                                 SdcSite::kShuffle};
+
+// Counts events in [0, events) on which block(stream) and the reference
+// disagree (fire/no-fire or flipped bit) over all three sites; adds the
+// reference's hits to *hits.
+std::uint64_t block_mismatches(const SdcPlan& plan, std::uint64_t stream,
+                               std::uint64_t events, std::uint64_t* hits) {
+  const SdcPlan::Block block = plan.block(stream);
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t event = 0; event < events; ++event) {
+    for (const SdcSite site : kAllSites) {
+      int ref_bit = -1;
+      int bit = -1;
+      const bool ref = reference_flips(plan, stream, event, site, &ref_bit);
+      const bool got = block.flips(event, site, &bit);
+      *hits += static_cast<std::uint64_t>(ref);
+      mismatches += static_cast<std::uint64_t>(ref != got || (ref && bit != ref_bit));
+    }
+  }
+  return mismatches;
+}
+
+constexpr double kFlipProbs[] = {0.0, 4.9e-324, 1e-7, 3e-7, 0.25, 0.5, 1.0, 1.5};
+
+TEST(SdcBlock, MatchesPerEventReferenceAcrossSeedsStreamsAndRates) {
+  const std::uint64_t streams[] = {
+      0, 7, wsim::simt::sdc_stream(wsim::simt::sdc_device_hash("Titan X"), 3, 5)};
+  for (const std::uint64_t seed : {0ULL, 42ULL, 0xfeedfacecafebeefULL}) {
+    for (const std::uint64_t stream : streams) {
+      for (const double p : kFlipProbs) {
+        SdcPlan plan;
+        plan.seed = seed;
+        plan.flip_prob = p;
+        std::uint64_t hits = 0;
+        EXPECT_EQ(block_mismatches(plan, stream, 100000, &hits), 0U)
+            << "seed " << seed << " stream " << stream << " p " << p;
+        if (p >= 1.0) {
+          EXPECT_EQ(hits, 300000U) << "p >= 1 fires on every event";
+        } else if (p == 0.0) {
+          EXPECT_EQ(hits, 0U);
+        }
+      }
+    }
+  }
+}
+
+TEST(SdcBlock, DisabledSitesNeverFireAndOthersMatch) {
+  for (unsigned mask = 0; mask < 8; ++mask) {
+    SdcPlan plan;
+    plan.seed = 99;
+    plan.flip_prob = 0.25;
+    plan.reg_writes = (mask & 1U) != 0;
+    plan.smem_stores = (mask & 2U) != 0;
+    plan.shuffle_payloads = (mask & 4U) != 0;
+    EXPECT_EQ(plan.block(3).active(), mask != 0) << mask;
+    std::uint64_t hits = 0;
+    EXPECT_EQ(block_mismatches(plan, 3, 20000, &hits), 0U) << mask;
+    const SdcPlan::Block block = plan.block(3);
+    for (const SdcSite site : kAllSites) {
+      if (plan.site_enabled(site)) {
+        continue;
+      }
+      int bit = -1;
+      for (std::uint64_t event = 0; event < 20000; ++event) {
+        ASSERT_FALSE(block.flips(event, site, &bit)) << mask << " event " << event;
+      }
+    }
+  }
+}
+
+TEST(SdcBlock, ThresholdIsExactAtTheBoundary) {
+  // x * 2^-53 < p must agree with x < threshold right at the threshold,
+  // where a random draw would almost never land.
+  std::vector<double> probs(std::begin(kFlipProbs), std::end(kFlipProbs));
+  probs.push_back(std::nextafter(1.0, 0.0));
+  probs.push_back(0x1.0p-53);
+  probs.push_back(std::nextafter(0x1.0p-53, 1.0));
+  std::uint64_t s = 1;
+  for (int i = 0; i < 1000; ++i) {
+    s = reference_mix(s);
+    probs.push_back(static_cast<double>(s >> 11) * 0x1.0p-53 * 1.0000001);
+  }
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const double p : probs) {
+    SdcPlan plan;
+    plan.flip_prob = p;
+    const std::uint64_t threshold = plan.block(0).threshold;
+    ASSERT_LE(threshold, kTop) << p;
+    for (const std::uint64_t x : {threshold - 1, threshold, threshold + 1}) {
+      if (x >= kTop) {
+        continue;  // draws are 53-bit; x wrapped below 0 or past the top
+      }
+      EXPECT_EQ(static_cast<double>(x) * 0x1.0p-53 < p, x < threshold)
+          << "p " << p << " x " << x;
+    }
+  }
+}
+
+TEST(SdcBlock, GoldenFirstFlips) {
+  // First flipping (event, bit) pairs of one fixed block, captured from the
+  // original per-event formula: pins the draw itself, not just agreement
+  // with a reference that could drift along with it.
+  SdcPlan plan;
+  plan.seed = 42;
+  plan.flip_prob = 1e-3;
+  const std::uint64_t stream =
+      wsim::simt::sdc_stream(wsim::simt::sdc_device_hash("K1200"), 3, 5);
+  ASSERT_EQ(stream, 0xedb8772f5f48237fULL);
+  const std::vector<std::pair<std::uint64_t, int>> golden = {
+      {209, 15},   {1784, 23},  {2412, 31},  {2584, 27},  {3992, 31},  {6785, 14},
+      {6917, 21},  {7167, 12},  {7571, 16},  {7902, 6},   {8250, 21},  {10098, 25},
+      {10396, 0},  {12897, 25}, {15046, 2},  {15083, 26}};
+  const SdcPlan::Block block = plan.block(stream);
+  std::vector<std::pair<std::uint64_t, int>> got;
+  for (std::uint64_t event = 0; got.size() < golden.size(); ++event) {
+    int bit = -1;
+    if (block.flips(event, SdcSite::kRegWrite, &bit)) {
+      got.emplace_back(event, bit);
+    }
+  }
+  EXPECT_EQ(got, golden);
+
+  // Rotating the site per event pins the site term of the hash too.
+  const std::vector<std::pair<std::uint64_t, int>> golden_sites = {
+      {392, 17}, {659, 9}, {829, 26}, {1787, 0}, {2412, 31}, {3116, 3}, {4348, 18}, {4645, 21}};
+  got.clear();
+  for (std::uint64_t event = 0; got.size() < golden_sites.size(); ++event) {
+    int bit = -1;
+    if (block.flips(event, kAllSites[event % 3], &bit)) {
+      got.emplace_back(event, bit);
+    }
+  }
+  EXPECT_EQ(got, golden_sites);
+}
+
+// ---------------------------------------------------------------------------
 // Satellite: FaultPlan and SdcPlan hash under distinct domain tags, so one
 // seed drives uncorrelated fault and corruption streams.
 
@@ -118,7 +285,7 @@ TEST(DomainSeparation, SameSeedYieldsUncorrelatedDecisionStreams) {
   int bit = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     const bool fault = faults.launch_fails(0, i);
-    const bool flip = sdc.flips(0, i, SdcSite::kRegWrite, &bit);
+    const bool flip = sdc.block(0).flips(i, SdcSite::kRegWrite, &bit);
     agree += static_cast<std::uint64_t>(fault == flip);
   }
   // Independent fair coins agree ~n/2 times; identical or complementary

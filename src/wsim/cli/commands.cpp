@@ -113,9 +113,10 @@ std::string usage_text() {
       "                             (default: one per hardware thread; results\n"
       "                              are identical at any thread count)\n"
       "                --interp fast|legacy|vector  interpreter path: predecoded\n"
-      "                             fast dispatch (default), the legacy switch\n"
+      "                             per-lane fast dispatch, the legacy switch\n"
       "                             interpreter, or the SIMD lane-vector engine\n"
-      "                             (results are bit-identical on all three)\n"
+      "                             (default; results are bit-identical on all\n"
+      "                             three)\n"
       "observability:  --trace-out F   write a Chrome trace-event JSON of the\n"
       "                             run (simulated clock; open in Perfetto or\n"
       "                             chrome://tracing)\n"
@@ -126,8 +127,9 @@ std::string usage_text() {
       "environment:    WSIM_THREADS=N  worker count of the process-wide shared\n"
       "                             engine, used whenever --threads is absent or\n"
       "                             <= 0 (pipeline, benches, library default)\n"
-      "                WSIM_INTERP=legacy|vector  select the interpreter when\n"
-      "                             --interp is absent (default: fast)\n"
+      "                WSIM_INTERP=fast|legacy|vector  select the interpreter\n"
+      "                             when --interp is absent (default: vector;\n"
+      "                             an unknown name is a usage error)\n"
       "                WSIM_VECTOR_ISA=generic|avx2|avx512  clamp the lane-vector\n"
       "                             engine's SIMD tier (downgrade-only; default:\n"
       "                             best the CPU supports)\n";
@@ -140,6 +142,13 @@ std::string interp_error(std::string_view name) {
   }
   return "error: unknown interpreter '" + std::string(name) +
          "' for --interp; valid names: fast, legacy, vector";
+}
+
+std::string interp_knob(std::string_view flag, const char* env) {
+  if (!flag.empty() || env == nullptr) {
+    return std::string(flag);
+  }
+  return env;
 }
 
 }  // namespace wsim::cli

@@ -35,4 +35,9 @@ std::string usage_text();
 /// surface cannot drift from the documented set.
 std::string interp_error(std::string_view name);
 
+/// The interpreter name a run validates and selects: the --interp value
+/// when non-empty, otherwise WSIM_INTERP (`env`, null when unset). Empty
+/// means neither is set and the library default applies.
+std::string interp_knob(std::string_view flag, const char* env);
+
 }  // namespace wsim::cli

@@ -26,14 +26,14 @@ InterpPath resolve_interp_path(InterpPath requested) noexcept {
   const char* env = std::getenv("WSIM_INTERP");
   if (env != nullptr) {
     const std::string_view name(env);
+    if (name == "fast") {
+      return InterpPath::kFast;
+    }
     if (name == "legacy") {
       return InterpPath::kLegacy;
     }
-    if (name == "vector") {
-      return InterpPath::kVector;
-    }
   }
-  return InterpPath::kFast;
+  return InterpPath::kVector;
 }
 
 namespace {

@@ -671,6 +671,9 @@ struct EngineBase {
 
   /// Global-memory access; returns the dependent load latency (cold vs
   /// cached 128 B segments, same one-bit warm-set model as the legacy path).
+  /// The lane loop dedups segments, so the warm set takes one insert per
+  /// distinct segment after it (an out-of-bounds lane throws first, which
+  /// abandons the block and its warm set with it).
   long long exec_gmem(Warp& warp, const DecodedInstr& d, const std::uint64_t* pv) {
     const Ref a = ref(warp, d.a);
     const Ref b = ref(warp, d.b);
@@ -682,7 +685,6 @@ struct EngineBase {
                              : nullptr;
     std::array<std::int64_t, kWarpSize> segments;  // only [0, n_segments) is read
     int n_segments = 0;
-    bool any_cold = false;
     for (int lane = 0; lane < kWarpSize; ++lane) {
       if (!lane_active(pv, d.pred_negate, lane)) {
         continue;
@@ -699,9 +701,6 @@ struct EngineBase {
       if (!seen) {
         segments[static_cast<std::size_t>(n_segments++)] = segment;
       }
-      if (warm_segments_.insert(segment).second) {
-        any_cold = true;
-      }
       if (d.cls == ExecClass::kLdg) {
         dst[static_cast<std::size_t>(lane)] = load_bits(gmem_.at(addr, bytes), d.width);
       } else {
@@ -711,6 +710,10 @@ struct EngineBase {
           writes_->add(addr, static_cast<std::size_t>(bytes));
         }
       }
+    }
+    bool any_cold = false;
+    for (int k = 0; k < n_segments; ++k) {
+      any_cold |= warm_segments_.insert(segments[static_cast<std::size_t>(k)]).second;
     }
     result_.gmem_transactions += static_cast<std::uint64_t>(n_segments);
     if (d.cls != ExecClass::kLdg) {

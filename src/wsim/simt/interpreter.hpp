@@ -91,18 +91,18 @@ struct DecodedProgram;  // simt/decode.hpp
 
 /// Which interpreter executes a block / launch.
 ///
-/// kFast runs the predecoded fast path (per-(kernel, device) DecodedProgram
-/// from the shared cache, handler dispatch, superinstruction fusion); it is
-/// the default and is bit-identical to kLegacy in functional outputs,
-/// BlockResult counters, and SDC write-event numbering. kVector runs the
-/// lane-vector engine: all 32 lanes of an unpredicated instruction in a
-/// handful of SIMD ops (AVX-512/AVX2/generic variants picked once at
-/// runtime, overridable via WSIM_VECTOR_ISA), with a masked per-lane
-/// fallback for divergent warps — also bit-identical. kLegacy runs the
-/// original switch interpreter — kept for A/B comparison and as the
-/// differential-testing reference. kDefault defers to the WSIM_INTERP
-/// environment variable ("legacy" selects kLegacy, "vector" kVector;
-/// anything else kFast).
+/// kVector, the default, runs the lane-vector engine: all 32 lanes of an
+/// unpredicated instruction in a handful of SIMD ops (AVX-512/AVX2/generic
+/// variants picked once at runtime, overridable via WSIM_VECTOR_ISA), with
+/// a masked per-lane fallback for divergent warps; SDC-injected blocks run
+/// on kFast wholesale. kFast runs the predecoded per-lane fast path
+/// (per-(kernel, device) DecodedProgram from the shared cache, handler
+/// dispatch, superinstruction fusion). kLegacy runs the original switch
+/// interpreter. All three are bit-identical in functional outputs,
+/// BlockResult counters, and SDC write-event numbering; kFast and kLegacy
+/// are kept for A/B comparison and as differential-testing oracles.
+/// kDefault defers to the WSIM_INTERP environment variable ("fast" selects
+/// kFast, "legacy" kLegacy; unset or anything else kVector).
 enum class InterpPath : std::uint8_t { kDefault, kFast, kLegacy, kVector };
 
 /// Resolves kDefault against WSIM_INTERP; returns kFast, kLegacy, or

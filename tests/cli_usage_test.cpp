@@ -55,7 +55,7 @@ TEST(CliUsage, HasCommandMatchesRegistry) {
 TEST(CliUsage, InterpreterKnobDocumentsAllThreeEngines) {
   const std::string usage = cli::usage_text();
   EXPECT_NE(usage.find("--interp fast|legacy|vector"), std::string::npos);
-  EXPECT_NE(usage.find("WSIM_INTERP=legacy|vector"), std::string::npos);
+  EXPECT_NE(usage.find("WSIM_INTERP=fast|legacy|vector"), std::string::npos);
   EXPECT_NE(usage.find("WSIM_VECTOR_ISA=generic|avx2|avx512"), std::string::npos);
 }
 
@@ -72,6 +72,23 @@ TEST(CliUsage, InterpErrorAcceptsKnownEnginesOnly) {
   EXPECT_FALSE(cli::interp_error("").empty());
   EXPECT_FALSE(cli::interp_error("FAST").empty());
   EXPECT_FALSE(cli::interp_error("vector ").empty());
+}
+
+TEST(CliUsage, InterpKnobPrefersTheFlagThenTheEnvironment) {
+  // The binary validates interp_knob(--interp, WSIM_INTERP) with
+  // interp_error, so a misspelt environment value is a usage error (exit
+  // 2, the --interp message) instead of a silent run of the default.
+  EXPECT_EQ(cli::interp_knob("", nullptr), "");
+  EXPECT_EQ(cli::interp_knob("", "fast"), "fast");
+  EXPECT_EQ(cli::interp_knob("legacy", "vector"), "legacy");
+  EXPECT_EQ(cli::interp_knob("vector", "turbo"), "vector");
+  const std::string from_env = cli::interp_knob("", "turbo");
+  EXPECT_EQ(from_env, "turbo");
+  EXPECT_EQ(cli::interp_error(from_env),
+            "error: unknown interpreter 'turbo' for --interp; "
+            "valid names: fast, legacy, vector");
+  // An empty WSIM_INTERP counts as unset.
+  EXPECT_EQ(cli::interp_knob("", ""), "");
 }
 
 TEST(CliUsage, ResilienceCommandsAreDocumented) {

@@ -565,21 +565,19 @@ Kernel build_divergent_stress(int threshold, bool negate, bool shifting) {
   return kb.build();
 }
 
-RunOutcome run_stress(const Kernel& kernel, const DeviceSpec& device,
-                      InterpPath path, std::int64_t trips, bool with_trace) {
-  GlobalMemory gmem;
-  const std::int64_t out = gmem.alloc(32 * 4 * 2);
-  const std::vector<std::uint64_t> args = {static_cast<std::uint64_t>(out),
-                                           static_cast<std::uint64_t>(trips)};
+/// Runs one block on `path` and captures everything it produced; a
+/// CheckError is captured too. Tracing pins the instruction-by-instruction
+/// schedule but also turns off the vector engine's loop fast-forward, so
+/// callers run both ways: traced (per-event equality) and untraced (the
+/// fast-forward and its precompiled plan actually engage).
+RunOutcome run_captured(const Kernel& kernel, const DeviceSpec& device,
+                        GlobalMemory& gmem, const std::vector<std::uint64_t>& args,
+                        InterpPath path, bool with_trace) {
   RunOutcome outcome;
   Trace trace;
   GmemWriteSet writes;
   BlockRunOptions options;
   options.interp = path;
-  // Tracing pins the instruction-by-instruction schedule but also turns
-  // off the vector engine's loop fast-forward, so the stress runs both
-  // ways: traced (per-event equality) and untraced (the fast-forward and
-  // its precompiled plan actually engage).
   if (with_trace) {
     options.trace = &trace;
     options.writes = &writes;
@@ -594,6 +592,15 @@ RunOutcome run_stress(const Kernel& kernel, const DeviceSpec& device,
   outcome.trace = trace.events();
   outcome.writes = writes.spans();
   return outcome;
+}
+
+RunOutcome run_stress(const Kernel& kernel, const DeviceSpec& device,
+                      InterpPath path, std::int64_t trips, bool with_trace) {
+  GlobalMemory gmem;
+  const std::int64_t out = gmem.alloc(32 * 4 * 2);
+  const std::vector<std::uint64_t> args = {static_cast<std::uint64_t>(out),
+                                           static_cast<std::uint64_t>(trips)};
+  return run_captured(kernel, device, gmem, args, path, with_trace);
 }
 
 TEST(InterpEquivalence, DivergentPredicateStress) {
@@ -627,6 +634,164 @@ TEST(InterpEquivalence, DivergentPredicateStress) {
   }
 }
 
+/// Two-warp kernel whose global accesses touch 1, 2 and 32 128-byte
+/// segments per warp, repeat segments on consecutive instructions, load a
+/// segment right after storing to it, and run under partial and empty
+/// predicate masks, so every case of the cold/warm segment model shows in
+/// cycles and gmem_transactions.
+Kernel build_gmem_segments() {
+  KernelBuilder kb("gmem_segments", 64);
+  const SReg data = kb.param();   // s0: 32 segments of inputs (+ slack)
+  const SReg cold = kb.param();   // s1: 64 untouched segments
+  const SReg walk = kb.param();   // s2: one untouched segment per trip
+  const SReg out = kb.param();    // s3: 2 x 64 words of results
+  const SReg trips = kb.param();  // s4: walk trip count
+  const VReg t = kb.tid();
+  const VReg lane = kb.laneid();
+  const VReg words = kb.iadd(data, kb.imul(lane, imm_i64(4)));
+  const VReg rows = kb.imul(lane, imm_i64(128));
+
+  VReg acc = kb.ldg(words);                                       // 1 segment
+  kb.assign(acc, kb.iadd(acc, kb.ldg(words, 64)));                // 2, one warm
+  kb.assign(acc, kb.iadd(acc, kb.ldg(kb.iadd(data, kb.imul(lane, imm_i64(8))))));  // 2
+  const VReg spread = kb.iadd(data, rows);
+  kb.assign(acc, kb.iadd(acc, kb.ldg(spread, 4)));                // 32
+  kb.assign(acc, kb.iadd(acc, kb.ldg(spread, 8)));                // 32, all warm
+  kb.assign(acc, kb.iadd(acc, kb.ldg(kb.iadd(data, lane), 0, MemWidth::kB1)));  // 1
+
+  // Store then load the same (cold) segment: the store warms it.
+  const VReg slot = kb.iadd(out, kb.imul(t, imm_i64(4)));
+  kb.stg(slot, acc);                                              // 1
+  kb.assign(acc, kb.iadd(acc, kb.ldg(slot)));                     // 1, warm
+
+  // Partial masks: 5 lanes warm 5 of the 32 segments the next load
+  // touches, then the other 27 lanes; an empty mask touches nothing.
+  const VReg few = kb.setp(Cmp::kLt, DType::kI64, lane, imm_i64(5));
+  const VReg none = kb.setp(Cmp::kLt, DType::kI64, lane, imm_i64(0));
+  const VReg cold_rows = kb.iadd(cold, rows);
+  const VReg tmp = kb.mov(imm_i64(0));
+  kb.begin_pred(few);
+  kb.ldg_to(tmp, cold_rows);                                      // 5
+  kb.end_pred();
+  kb.assign(acc, kb.iadd(acc, kb.iadd(tmp, kb.ldg(cold_rows))));  // 32, 5 warm
+  kb.begin_pred(few, /*negate=*/true);
+  kb.ldg_to(tmp, cold_rows, 32 * 128);                            // 27
+  kb.stg(cold_rows, acc, 32 * 128 + 4);                           // 27
+  kb.end_pred();
+  kb.begin_pred(none);
+  kb.ldg_to(tmp, cold_rows, 64);                                  // 0
+  kb.stg(cold_rows, acc, 68);                                     // 0
+  kb.end_pred();
+  kb.assign(acc, kb.iadd(acc, tmp));
+
+  // One new segment per trip.
+  const VReg step = kb.iadd(walk, kb.imul(lane, imm_i64(4)));
+  kb.loop(trips);
+  kb.assign(acc, kb.iadd(acc, kb.ldg(step)));                     // 1
+  kb.assign(step, kb.iadd(step, imm_i64(128)));
+  kb.endloop();
+  kb.stg(slot, acc, 64 * 4);                                      // 1
+  return kb.build();
+}
+
+/// gmem_transactions the kernel above must report: per warp, the counts
+/// annotated on its accesses plus one per trip.
+std::uint64_t gmem_segments_transactions(std::int64_t trips) {
+  const std::uint64_t per_warp =
+      1 + 2 + 2 + 32 + 32 + 1 + 1 + 1 + 5 + 32 + 27 + 27 + 1;
+  return 2 * (per_warp + static_cast<std::uint64_t>(trips));
+}
+
+RunOutcome run_gmem_segments(const Kernel& kernel, const DeviceSpec& device,
+                             InterpPath path, std::int64_t trips, bool with_trace) {
+  GlobalMemory gmem;
+  const std::int64_t data = gmem.alloc(33 * 128, 128);
+  const std::int64_t cold = gmem.alloc(64 * 128, 128);
+  const std::int64_t walk = gmem.alloc(static_cast<std::size_t>(trips + 1) * 128, 128);
+  const std::int64_t out = gmem.alloc(2 * 64 * 4, 128);
+  std::vector<std::uint8_t> bytes(33 * 128);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  gmem.write_u8(data, bytes);
+  gmem.write_u8(walk, std::vector<std::uint8_t>(
+                          static_cast<std::size_t>(trips + 1) * 128, 3));
+  const std::vector<std::uint64_t> args = {
+      static_cast<std::uint64_t>(data), static_cast<std::uint64_t>(cold),
+      static_cast<std::uint64_t>(walk), static_cast<std::uint64_t>(out),
+      static_cast<std::uint64_t>(trips)};
+  return run_captured(kernel, device, gmem, args, path, with_trace);
+}
+
+TEST(InterpEquivalence, GlobalSegmentsWarmOncePerAccess) {
+  const Kernel kernel = build_gmem_segments();
+  for (const DeviceSpec& device : wsim::simt::all_devices()) {
+    for (const std::int64_t trips : {0LL, 1LL, 6LL}) {
+      for (const bool with_trace : {true, false}) {
+        const std::string label = device.name + " trips=" + std::to_string(trips) +
+                                  (with_trace ? " traced" : " untraced");
+        const RunOutcome legacy =
+            run_gmem_segments(kernel, device, InterpPath::kLegacy, trips, with_trace);
+        const RunOutcome fast =
+            run_gmem_segments(kernel, device, InterpPath::kFast, trips, with_trace);
+        const RunOutcome vec =
+            run_gmem_segments(kernel, device, InterpPath::kVector, trips, with_trace);
+        ASSERT_FALSE(legacy.threw) << label << ": " << legacy.error;
+        EXPECT_EQ(legacy.result.gmem_transactions, gmem_segments_transactions(trips))
+            << label;
+        expect_equal_outcomes(legacy, fast, label + " fast");
+        expect_equal_outcomes(legacy, vec, label + " vector");
+      }
+    }
+  }
+}
+
+TEST(InterpEquivalence, GlobalOutOfBoundsLaneThrowsTheSameOnEveryPath) {
+  const auto device = wsim::simt::make_k40();
+  for (const bool store : {false, true}) {
+    // Lane 13 of warp 1 points far past the arena; lanes before it have
+    // already accessed memory when it throws.
+    KernelBuilder kb("gmem_oob", 64);
+    const SReg base = kb.param();
+    const VReg t = kb.tid();
+    const VReg slot = kb.iadd(base, kb.imul(t, imm_i64(4)));
+    const VReg bad = kb.setp(Cmp::kEq, DType::kI64, t, imm_i64(32 + 13));
+    const VReg addr = kb.selp(bad, imm_i64(std::int64_t{1} << 40), slot);
+    const VReg v = kb.ldg(slot);
+    if (store) {
+      kb.stg(addr, kb.iadd(v, imm_i64(1000)));
+    } else {
+      kb.stg(slot, kb.iadd(v, kb.ldg(addr)));
+    }
+    const Kernel kernel = kb.build();
+    std::vector<RunOutcome> outcomes;
+    for (const InterpPath path :
+         {InterpPath::kLegacy, InterpPath::kFast, InterpPath::kVector}) {
+      GlobalMemory gmem;
+      const std::int64_t base_addr = gmem.alloc(64 * 4, 128);
+      std::vector<std::int32_t> init(64);
+      for (int i = 0; i < 64; ++i) {
+        init[static_cast<std::size_t>(i)] = 7 * i;
+      }
+      gmem.write_i32(base_addr, init);
+      outcomes.push_back(run_captured(
+          kernel, device, gmem, {static_cast<std::uint64_t>(base_addr)}, path,
+          /*with_trace=*/true));
+    }
+    const std::string label = store ? "stg" : "ldg";
+    ASSERT_TRUE(outcomes[0].threw) << label;
+    EXPECT_NE(outcomes[0].error.find("global memory access out of bounds"),
+              std::string::npos)
+        << label << ": " << outcomes[0].error;
+    for (std::size_t k = 1; k < outcomes.size(); ++k) {
+      EXPECT_TRUE(outcomes[k].threw) << label << " path " << k;
+      EXPECT_EQ(outcomes[0].error, outcomes[k].error) << label << " path " << k;
+      EXPECT_EQ(outcomes[0].memory, outcomes[k].memory) << label << " path " << k;
+      EXPECT_EQ(outcomes[0].writes, outcomes[k].writes) << label << " path " << k;
+    }
+  }
+}
+
 TEST(InterpEquivalence, EnvironmentKnobSelectsThePath) {
   // Explicit requests are never overridden.
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kFast), InterpPath::kFast);
@@ -642,9 +807,23 @@ TEST(InterpEquivalence, EnvironmentKnobSelectsThePath) {
   ::setenv("WSIM_INTERP", "vector", 1);
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
             InterpPath::kVector);
-  ::unsetenv("WSIM_INTERP");
+  // "fast" is matched by name, not reached as the fallback: with the
+  // default engine "fast" and an unknown name resolve differently.
+  ::setenv("WSIM_INTERP", "fast", 1);
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
             InterpPath::kFast);
+  EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kVector),
+            InterpPath::kVector);
+  // Unset, empty, or unknown values give the default engine, kVector.
+  for (const char* unknown : {"turbo", "", "FAST", "fast "}) {
+    ::setenv("WSIM_INTERP", unknown, 1);
+    EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
+              InterpPath::kVector)
+        << "WSIM_INTERP='" << unknown << "'";
+  }
+  ::unsetenv("WSIM_INTERP");
+  EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
+            InterpPath::kVector);
 }
 
 }  // namespace

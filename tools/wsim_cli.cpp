@@ -1314,8 +1314,11 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   // The interpreter knob routes through the WSIM_INTERP environment
   // variable so every launch in the process — including engines built by
-  // library code — resolves the same path (simt::resolve_interp_path).
-  const std::string interp = args.get("interp", "");
+  // library code — resolves the same path (simt::resolve_interp_path). A
+  // misspelt WSIM_INTERP is rejected like a misspelt --interp instead of
+  // silently running the default engine.
+  const std::string interp =
+      wsim::cli::interp_knob(args.get("interp", ""), std::getenv("WSIM_INTERP"));
   if (!interp.empty()) {
     const std::string interp_err = wsim::cli::interp_error(interp);
     if (!interp_err.empty()) {

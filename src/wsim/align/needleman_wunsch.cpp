@@ -18,7 +18,12 @@ std::int32_t gap_cost(const SwParams& params, std::size_t length) noexcept {
                            static_cast<std::int32_t>(length - 1) * params.gap_extend;
 }
 
-enum class HFrom : std::uint8_t { kDiag, kVertical, kHorizontal };
+/// Traceback record of one cell, one byte: where H came from (low two
+/// bits) and whether E and F extended an open gap.
+enum class HFrom : std::uint8_t { kDiag = 0, kVertical = 1, kHorizontal = 2 };
+constexpr std::uint8_t kFromMask = 3;
+constexpr std::uint8_t kEExtends = 4;
+constexpr std::uint8_t kFExtends = 8;
 
 }  // namespace
 
@@ -26,62 +31,59 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
                      const SwParams& params) {
   const std::size_t m = query.size();
   const std::size_t n = target.size();
-  Matrix<std::int32_t> h(m + 1, n + 1, 0);
-  Matrix<std::int32_t> e(m + 1, n + 1, kNegInf);  // horizontal (consumes target)
-  Matrix<std::int32_t> f(m + 1, n + 1, kNegInf);  // vertical (consumes query)
-  Matrix<HFrom> h_from(m + 1, n + 1, HFrom::kDiag);
-  Matrix<std::uint8_t> e_extends(m + 1, n + 1, 0);
-  Matrix<std::uint8_t> f_extends(m + 1, n + 1, 0);
-
-  for (std::size_t j = 1; j <= n; ++j) {
-    h(0, j) = gap_cost(params, j);
-    e(0, j) = h(0, j);
-    h_from(0, j) = HFrom::kHorizontal;
-    e_extends(0, j) = j > 1 ? 1 : 0;
-  }
-  for (std::size_t i = 1; i <= m; ++i) {
-    h(i, 0) = gap_cost(params, i);
-    f(i, 0) = h(i, 0);
-    h_from(i, 0) = HFrom::kVertical;
-    f_extends(i, 0) = i > 1 ? 1 : 0;
+  // Scores roll row by row as in nw_score; only the traceback bits keep the
+  // whole (m + 1) x (n + 1) table. Row 0 and column 0 need no bits: the
+  // traceback walks the borders without reading them.
+  std::vector<std::int32_t> h(n + 1);
+  std::vector<std::int32_t> f(n + 1, kNegInf);  // vertical (consumes query)
+  Matrix<std::uint8_t> trace(m + 1, n + 1, 0);
+  for (std::size_t j = 0; j <= n; ++j) {
+    h[j] = gap_cost(params, j);
   }
 
   for (std::size_t i = 1; i <= m; ++i) {
+    std::int32_t diag_prev = h[0];  // H(i-1, 0)
+    h[0] = gap_cost(params, i);
+    std::int32_t e = kNegInf;  // horizontal (consumes target), E(i, j-1)
     for (std::size_t j = 1; j <= n; ++j) {
-      const std::int32_t open_h = h(i, j - 1) + params.gap_open;
-      const std::int32_t extend_h = e(i, j - 1) + params.gap_extend;
+      std::uint8_t bits = 0;
+      const std::int32_t open_h = h[j - 1] + params.gap_open;
+      const std::int32_t extend_h = e + params.gap_extend;
       if (extend_h > open_h) {
-        e(i, j) = extend_h;
-        e_extends(i, j) = 1;
+        e = extend_h;
+        bits |= kEExtends;
       } else {
-        e(i, j) = open_h;
+        e = open_h;
       }
-      const std::int32_t open_v = h(i - 1, j) + params.gap_open;
-      const std::int32_t extend_v = f(i - 1, j) + params.gap_extend;
+      const std::int32_t open_v = h[j] + params.gap_open;
+      const std::int32_t extend_v = f[j] + params.gap_extend;
       if (extend_v > open_v) {
-        f(i, j) = extend_v;
-        f_extends(i, j) = 1;
+        f[j] = extend_v;
+        bits |= kFExtends;
       } else {
-        f(i, j) = open_v;
+        f[j] = open_v;
       }
       const std::int32_t diag =
-          h(i - 1, j - 1) + substitution_score(params, query[i - 1], target[j - 1]);
+          diag_prev + substitution_score(params, query[i - 1], target[j - 1]);
+      diag_prev = h[j];
       // Precedence on ties: diagonal > vertical > horizontal.
-      h(i, j) = diag;
-      h_from(i, j) = HFrom::kDiag;
-      if (f(i, j) > h(i, j)) {
-        h(i, j) = f(i, j);
-        h_from(i, j) = HFrom::kVertical;
+      std::int32_t best = diag;
+      HFrom from = HFrom::kDiag;
+      if (f[j] > best) {
+        best = f[j];
+        from = HFrom::kVertical;
       }
-      if (e(i, j) > h(i, j)) {
-        h(i, j) = e(i, j);
-        h_from(i, j) = HFrom::kHorizontal;
+      if (e > best) {
+        best = e;
+        from = HFrom::kHorizontal;
       }
+      h[j] = best;
+      trace(i, j) = static_cast<std::uint8_t>(bits | static_cast<std::uint8_t>(from));
     }
   }
 
   NwAlignment result;
-  result.score = h(m, n);
+  result.score = h[n];
 
   std::vector<std::pair<char, std::size_t>> ops;
   auto push = [&ops](char op) {
@@ -105,7 +107,7 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
       --i;
       continue;
     }
-    switch (h_from(i, j)) {
+    switch (static_cast<HFrom>(trace(i, j) & kFromMask)) {
       case HFrom::kDiag:
         push('M');
         --i;
@@ -113,7 +115,7 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
         break;
       case HFrom::kVertical:
         // Follow the F chain while it extends.
-        while (f_extends(i, j) != 0 && i > 1) {
+        while ((trace(i, j) & kFExtends) != 0 && i > 1) {
           push('I');
           --i;
         }
@@ -121,7 +123,7 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
         --i;
         break;
       case HFrom::kHorizontal:
-        while (e_extends(i, j) != 0 && j > 1) {
+        while ((trace(i, j) & kEExtends) != 0 && j > 1) {
           push('D');
           --j;
         }

@@ -115,8 +115,20 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
   util::require(wc.max_pending_batches >= 1,
                 "FleetExecutor: max_pending_batches must be >= 1");
   const DeviceId id = static_cast<DeviceId>(workers_.size());
+  // A plan depends only on the spec and the pins, so an autoscaler join of
+  // a device already in the registry reuses that member's plan. Matching
+  // the whole spec, not its name, keeps a custom spec under a stock name
+  // (another clock, say) on its own plan.
+  const auto same_plan = std::find_if(
+      workers_.begin(), workers_.end(), [&wc](const DeviceWorker& w) {
+        return w.cfg.device == wc.device && w.cfg.sw_design == wc.sw_design &&
+               w.cfg.ph_design == wc.ph_design && w.cfg.wf_variant == wc.wf_variant;
+      });
   DeviceWorker worker{wc,
-                      plan_device(wc.device, wc.sw_design, wc.ph_design, wc.wf_variant),
+                      same_plan != workers_.end()
+                          ? same_plan->plan
+                          : std::make_shared<const DevicePlan>(plan_device(
+                                wc.device, wc.sw_design, wc.ph_design, wc.wf_variant)),
                       now,
                       active_at,
                       /*draining=*/false,
@@ -131,9 +143,9 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
                       {},
                       0};
   worker.stats.name = wc.device.name;
-  worker.stats.sw_design = worker.plan.sw_design;
-  worker.stats.ph_design = worker.plan.ph_design;
-  worker.stats.wf_variant = worker.plan.wf_variant;
+  worker.stats.sw_design = worker.plan->sw_design;
+  worker.stats.ph_design = worker.plan->ph_design;
+  worker.stats.wf_variant = worker.plan->wf_variant;
   worker.stats.id = id;
   worker.stats.joined_at = now;
   // The model-believed timeline starts where the oracle one does: at the
@@ -215,18 +227,20 @@ const simt::DeviceSpec& FleetExecutor::device(std::size_t index) const {
 }
 
 kernels::CommMode FleetExecutor::sw_design(std::size_t index) const {
-  util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].plan.sw_design;
+  return plan(index).sw_design;
 }
 
 kernels::PhDesign FleetExecutor::ph_design(std::size_t index) const {
-  util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].plan.ph_design;
+  return plan(index).ph_design;
 }
 
 kernels::WfVariant FleetExecutor::wf_variant(std::size_t index) const {
+  return plan(index).wf_variant;
+}
+
+const DevicePlan& FleetExecutor::plan(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].plan.wf_variant;
+  return *workers_[index].plan;
 }
 
 SimTime FleetExecutor::all_free_at() const noexcept {
@@ -323,14 +337,14 @@ bool FleetExecutor::routes_intra(const DeviceWorker& w, std::size_t mean_m,
     // are exactly 1.0 and this reduces to pick_parallelism.
     const int dev = static_cast<int>(w.stats.id);
     const double inter = calibrator_.factor(dev, KernelClass::kSwInter) *
-                         predicted_inter_batch_seconds(w.cfg.device, w.plan.intra,
+                         predicted_inter_batch_seconds(w.cfg.device, w.plan->intra,
                                                        mean_m, mean_n, tasks);
     const double intra = calibrator_.factor(dev, KernelClass::kSwIntra) *
-                         predicted_intra_batch_seconds(w.cfg.device, w.plan.intra,
+                         predicted_intra_batch_seconds(w.cfg.device, w.plan->intra,
                                                        mean_m, mean_n, tasks);
     return intra < inter;
   }
-  return pick_parallelism(w.cfg.device, w.plan.intra, mean_m, mean_n, tasks) ==
+  return pick_parallelism(w.cfg.device, w.plan->intra, mean_m, mean_n, tasks) ==
          ParallelMode::kIntraTask;
 }
 
@@ -351,14 +365,14 @@ double FleetExecutor::predicted_seconds_for(const DeviceWorker& w,
                                             std::size_t tasks) const {
   switch (cls) {
     case KernelClass::kSwInter:
-      return predicted_batch_seconds(w.cfg.device, w.plan.sw_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.plan->sw_gcups, cells);
     case KernelClass::kSwIntra:
-      return predicted_intra_batch_seconds(w.cfg.device, w.plan.intra, mean_m,
+      return predicted_intra_batch_seconds(w.cfg.device, w.plan->intra, mean_m,
                                            mean_n, tasks);
     case KernelClass::kPairHmm:
-      return predicted_batch_seconds(w.cfg.device, w.plan.ph_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.plan->ph_gcups, cells);
   }
-  return predicted_batch_seconds(w.cfg.device, w.plan.sw_gcups, cells);
+  return predicted_batch_seconds(w.cfg.device, w.plan->sw_gcups, cells);
 }
 
 void FleetExecutor::handle_drift(
@@ -499,7 +513,7 @@ std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
       double best_finish = std::numeric_limits<double>::infinity();
       for (const std::size_t i : eligible) {
         const DeviceWorker& w = workers_[i];
-        const double gcups = is_sw ? w.plan.sw_gcups : w.plan.ph_gcups;
+        const double gcups = is_sw ? w.plan->sw_gcups : w.plan->ph_gcups;
         const double finish = std::max(t, w.free_at) +
                               predicted_batch_seconds(w.cfg.device, gcups, cells);
         if (finish < best_finish) {
@@ -851,7 +865,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
         opt.use_engine_cache = true;
       }
       kernels::WfSwBatchResult wf =
-          worker.plan.wf_runner.run_batch(worker.cfg.device, batch, opt);
+          worker.plan->wf_runner.run_batch(worker.cfg.device, batch, opt);
       result.run = std::move(wf.run);
       result.outputs = std::move(wf.outputs);
       ++worker.stats.intra_batches;
@@ -871,7 +885,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
       opt.mode = simt::ExecMode::kCachedByShape;
       opt.use_engine_cache = true;
     }
-    result = worker.plan.sw_runner.run_batch(worker.cfg.device, batch, opt);
+    result = worker.plan->sw_runner.run_batch(worker.cfg.device, batch, opt);
     return result.run.launch.total_seconds();
   };
   const auto run_once = [&](SimTime when, int force, int excluded) {
@@ -883,7 +897,7 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
                  });
     return out;
   };
-  const align::SwParams& params = workers_.front().plan.sw_runner.params();
+  const align::SwParams& params = workers_.front().plan->sw_runner.params();
   try {
     if (!options.collect_outputs || !config_.guard.verifying()) {
       SwExecution out = run_once(now, -1, -1);
@@ -947,7 +961,7 @@ PhExecution FleetExecutor::execute_ph(const workload::PhBatch& batch,
                      opt.use_engine_cache = true;
                    }
                    out.result =
-                       worker.plan.ph_runner.run_batch(worker.cfg.device, batch, opt);
+                       worker.plan->ph_runner.run_batch(worker.cfg.device, batch, opt);
                    return out.result.run.launch.total_seconds();
                  });
     return out;
@@ -979,7 +993,7 @@ PhExecution FleetExecutor::execute_ph(const workload::PhBatch& batch,
                           opt.overlap_transfers = options.overlap_transfers;
                           opt.mode = simt::ExecMode::kCachedByShape;
                           opt.use_engine_cache = true;
-                          out.result = worker.plan.ph_runner.run_batch(
+                          out.result = worker.plan->ph_runner.run_batch(
                               worker.cfg.device, batch, opt);
                           return out.result.run.launch.total_seconds();
                         });

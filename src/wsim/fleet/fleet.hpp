@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -264,6 +265,8 @@ class FleetExecutor {
   kernels::CommMode sw_design(std::size_t index) const;
   kernels::PhDesign ph_design(std::size_t index) const;
   kernels::WfVariant wf_variant(std::size_t index) const;
+  /// The worker's plan. Workers with equal DeviceSpecs and pins share one.
+  const DevicePlan& plan(std::size_t index) const;
 
   /// Adds a worker to the running fleet at simulated time `now`. The
   /// worker is kJoining until now + join_warmup_seconds, then kActive.
@@ -318,9 +321,10 @@ class FleetExecutor {
   /// freezes it in place so ids stay dense and stable.
   struct DeviceWorker {
     WorkerConfig cfg;
-    /// Designs, model rates, regime model and runners, computed once at
-    /// join so placement and pick_parallelism per batch are cheap.
-    DevicePlan plan;
+    /// Designs, model rates, regime model and runners, computed at join
+    /// so placement and pick_parallelism per batch are cheap. Read-only,
+    /// so workers with equal device specs and pins share one plan.
+    std::shared_ptr<const DevicePlan> plan;
     SimTime joined_at = 0.0;
     SimTime active_at = 0.0;  ///< warmup end; placeable from here
     bool draining = false;

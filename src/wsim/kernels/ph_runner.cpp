@@ -1,3 +1,4 @@
+#include <array>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -67,20 +68,26 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
 
   // Device-resident quality lookup tables (transferred once per launch):
   // err[q] = 10^(-q/10) and err3[q] = err[q] / 3, exactly the values the
-  // host reference derives per row.
+  // host reference derives per row. Built once per process.
   constexpr int kQualLutSize = 256;
-  std::vector<float> err_lut(kQualLutSize);
-  std::vector<float> err3_lut(kQualLutSize);
-  for (int q = 0; q < kQualLutSize; ++q) {
-    err_lut[static_cast<std::size_t>(q)] =
-        align::qual_to_error_prob(static_cast<std::uint8_t>(q));
-    err3_lut[static_cast<std::size_t>(q)] =
-        err_lut[static_cast<std::size_t>(q)] / 3.0F;
-  }
+  struct QualLuts {
+    std::array<float, kQualLutSize> err;
+    std::array<float, kQualLutSize> err3;
+  };
+  static const QualLuts luts = [] {
+    QualLuts built{};
+    for (int q = 0; q < kQualLutSize; ++q) {
+      built.err[static_cast<std::size_t>(q)] =
+          align::qual_to_error_prob(static_cast<std::uint8_t>(q));
+      built.err3[static_cast<std::size_t>(q)] =
+          built.err[static_cast<std::size_t>(q)] / 3.0F;
+    }
+    return built;
+  }();
   const auto err_lut_addr = gmem.alloc(kQualLutSize * 4);
   const auto err3_lut_addr = gmem.alloc(kQualLutSize * 4);
-  gmem.write_f32(err_lut_addr, err_lut);
-  gmem.write_f32(err3_lut_addr, err3_lut);
+  gmem.write_f32(err_lut_addr, luts.err);
+  gmem.write_f32(err3_lut_addr, luts.err3);
   const std::size_t lut_bytes = 2 * kQualLutSize * 4;
 
   simt::ExecutionEngine& engine =

@@ -487,8 +487,10 @@ void AlignmentService::flush_sw() {
   workload::SwBatch batch;
   batch.reserve(entries.size());
   std::size_t batch_cells = 0;
-  for (const SwEntry& entry : entries) {
-    batch.push_back(entry.task);
+  // Nothing reads an entry's task after this: failures and deliveries
+  // use the slot, cells, tenant and times.
+  for (SwEntry& entry : entries) {
+    batch.push_back(std::move(entry.task));
     batch_cells += entry.cells;
   }
 
@@ -656,8 +658,9 @@ void AlignmentService::flush_ph() {
   workload::PhBatch batch;
   batch.reserve(entries.size());
   std::size_t batch_cells = 0;
-  for (const PhEntry& entry : entries) {
-    batch.push_back(entry.task);
+  // As in flush_sw, nothing reads an entry's task after this.
+  for (PhEntry& entry : entries) {
+    batch.push_back(std::move(entry.task));
     batch_cells += entry.cells;
   }
 

@@ -9,18 +9,49 @@
 
 namespace wsim::serve {
 
+namespace {
+
+/// util::percentile's interpolation on a sample that selection has already
+/// partitioned up to `*first`: every element before `*first` is <= every
+/// element from it on. Partitions [first, end) around the percentile's
+/// lower rank and moves `*first` to that rank, so ascending percentiles
+/// each partition only what lies at and right of the previous rank. The
+/// order statistics are the ones a full sort yields, so the value is
+/// bit-identical to util::percentile's.
+double select_percentile(std::vector<double>& sample,
+                         std::vector<double>::iterator& first, double p) {
+  if (sample.size() == 1) {
+    return sample.front();
+  }
+  const double rank = p / 100.0 * static_cast<double>(sample.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(first, lo_it, sample.end());
+  first = lo_it;
+  const double lo_value = *lo_it;
+  const double hi_value =
+      lo + 1 < sample.size() ? *std::min_element(lo_it + 1, sample.end()) : lo_value;
+  const double frac = rank - static_cast<double>(lo);
+  return lo_value + frac * (hi_value - lo_value);
+}
+
+}  // namespace
+
 LatencySummary summarize_latency(std::vector<double> seconds) {
   LatencySummary summary;
   if (seconds.empty()) {
     return summary;
   }
+  // Summarize before selection reorders the sample, so the mean sums in
+  // arrival order.
   const auto base = util::summarize(seconds);
   summary.count = base.count;
   summary.mean = base.mean;
   summary.max = base.max;
-  summary.p50 = util::percentile(seconds, 50.0);
-  summary.p95 = util::percentile(seconds, 95.0);
-  summary.p99 = util::percentile(seconds, 99.0);
+  auto first = seconds.begin();
+  summary.p50 = select_percentile(seconds, first, 50.0);
+  summary.p95 = select_percentile(seconds, first, 95.0);
+  summary.p99 = select_percentile(seconds, first, 99.0);
   return summary;
 }
 

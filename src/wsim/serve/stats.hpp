@@ -22,8 +22,9 @@ struct LatencySummary {
   double max = 0.0;
 };
 
-/// Summarizes a sample (takes a copy because percentile computation
-/// sorts). Empty input yields a zero summary.
+/// Summarizes a sample (takes it by value because the percentiles are
+/// selected in place). The percentiles are bit-identical to
+/// util::percentile's. Empty input yields a zero summary.
 LatencySummary summarize_latency(std::vector<double> seconds);
 
 /// Power-of-two histogram of formed batch sizes: bucket i counts batches

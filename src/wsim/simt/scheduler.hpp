@@ -34,7 +34,9 @@ struct KernelTiming {
 /// transaction consumes the SM's single warp-wide smem port, so a fully
 /// occupied SM degenerates to the throughput bound. The makespan is the
 /// maximum over SMs of max(latency-schedule finish, throughput
-/// serialization).
+/// serialization). A grid that fits in one wave of slots with every
+/// latency positive takes a closed form equal to that schedule; any other
+/// grid runs the slot heap.
 KernelTiming schedule_blocks(const DeviceSpec& device, const Occupancy& occupancy,
                              std::span<const BlockCost> blocks);
 

@@ -367,6 +367,65 @@ TEST(Fleet, RejectsEmptyAndInvalidConfigs) {
 }
 
 // ---------------------------------------------------------------------------
+// Plans are shared between workers with equal specs and pins: a join of an
+// identical device reuses the plan, while a spec that differs in any field
+// (not just in name) or a different pin gets its own.
+
+TEST(Fleet, IdenticalWorkersShareOnePlanAndADifferentSpecGetsItsOwn) {
+  FleetConfig cfg;
+  cfg.policy = PlacementPolicy::kRoundRobin;
+  cfg.workers.push_back({wsim::simt::make_k1200(), {}, {}, {}, 8});
+  FleetExecutor executor(std::move(cfg));
+  const WorkerConfig same{wsim::simt::make_k1200(), {}, {}, {}, 8};
+  WorkerConfig faster = same;
+  faster.device.clock_ghz *= 2.0;  // still named "K1200"
+  WorkerConfig pinned = same;
+  pinned.sw_design = wsim::kernels::CommMode::kSharedMemory;
+  const auto a = executor.join(same, 0.0);
+  const auto b = executor.join(same, 0.0);
+  const auto c = executor.join(faster, 0.0);
+  const auto d = executor.join(pinned, 0.0);
+
+  for (const auto id : {a, b}) {
+    EXPECT_EQ(&executor.plan(id), &executor.plan(0)) << id;
+    EXPECT_EQ(executor.sw_design(id), executor.sw_design(0)) << id;
+    EXPECT_EQ(executor.ph_design(id), executor.ph_design(0)) << id;
+    EXPECT_EQ(executor.wf_variant(id), executor.wf_variant(0)) << id;
+  }
+  EXPECT_NE(&executor.plan(c), &executor.plan(0));
+  EXPECT_EQ(executor.plan(c).sw_gcups, fleet::plan_device(faster.device).sw_gcups);
+  EXPECT_NE(executor.plan(c).sw_gcups, executor.plan(0).sw_gcups);
+  EXPECT_NE(&executor.plan(d), &executor.plan(0));
+  EXPECT_EQ(executor.sw_design(d), wsim::kernels::CommMode::kSharedMemory);
+
+  // Round robin visits every worker; each returns what direct execution
+  // does, whichever plan's runner it used.
+  const auto batches = wsim::workload::sw_rebatch(small_dataset(), 1);
+  ASSERT_GE(batches.size(), executor.size());
+  const wsim::kernels::SwRunner direct_runner(wsim::kernels::CommMode::kShuffle);
+  wsim::kernels::SwRunOptions direct_opt;
+  direct_opt.collect_outputs = true;
+  std::vector<std::size_t> per_worker(executor.size(), 0);
+  double t = 0.0;
+  for (const auto& batch : batches) {
+    const auto executed = executor.execute_sw(batch, t, {});
+    ++per_worker[static_cast<std::size_t>(executed.exec.device_index)];
+    const auto direct =
+        direct_runner.run_batch(wsim::simt::make_k1200(), batch, direct_opt);
+    ASSERT_EQ(executed.result.outputs.size(), direct.outputs.size());
+    for (std::size_t i = 0; i < direct.outputs.size(); ++i) {
+      EXPECT_EQ(executed.result.outputs[i].best_score, direct.outputs[i].best_score);
+      EXPECT_EQ(executed.result.outputs[i].alignment.cigar,
+                direct.outputs[i].alignment.cigar);
+    }
+    t += 30e-6;
+  }
+  for (std::size_t w = 0; w < per_worker.size(); ++w) {
+    EXPECT_GT(per_worker[w], 0U) << w;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Serving over a fleet: the service's responses stay bit-identical to the
 // single-device service, and fleet busy time feeds the service stats.
 

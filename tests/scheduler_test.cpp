@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "wsim/simt/device.hpp"
@@ -154,6 +158,75 @@ TEST_P(SchedulerPropertyTest, MoreConcurrencyNeverHurtsLatencySchedule) {
   const auto occ8 = compute_occupancy(kDev, 32, 16, 8192);   // 8 blocks/SM
   EXPECT_LE(schedule_blocks(kDev, occ8, blocks).latency_bound_cycles,
             schedule_blocks(kDev, occ1, blocks).latency_bound_cycles);
+}
+
+/// The list schedule spelled out with a slot heap for every grid: the
+/// reference the one-wave closed form must reproduce exactly.
+KernelTiming reference_schedule(const DeviceSpec& device, int blocks_per_sm,
+                                const std::vector<BlockCost>& blocks) {
+  using Slot = std::tuple<long long, int, int>;  // (free_at, rank, sm)
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> slots;
+  for (int sm = 0; sm < device.sm_count; ++sm) {
+    for (int rank = 0; rank < blocks_per_sm; ++rank) {
+      slots.emplace(0, rank, sm);
+    }
+  }
+  std::vector<long long> sm_cycles(static_cast<std::size_t>(device.sm_count), 0);
+  KernelTiming t;
+  for (const BlockCost& b : blocks) {
+    auto [free_at, rank, sm] = slots.top();
+    slots.pop();
+    const long long finish = free_at + b.latency_cycles;
+    t.latency_bound_cycles = std::max(t.latency_bound_cycles, finish);
+    const auto issue = static_cast<long long>(
+        (b.issue_slots + static_cast<std::uint64_t>(device.schedulers_per_sm) - 1) /
+        static_cast<std::uint64_t>(device.schedulers_per_sm));
+    sm_cycles[static_cast<std::size_t>(sm)] +=
+        std::max(issue, static_cast<long long>(b.smem_transactions));
+    slots.emplace(finish, rank, sm);
+  }
+  t.throughput_bound_cycles = *std::max_element(sm_cycles.begin(), sm_cycles.end());
+  t.cycles = std::max(t.latency_bound_cycles, t.throughput_bound_cycles);
+  return t;
+}
+
+TEST_P(SchedulerPropertyTest, ClosedFormMatchesTheHeapAroundOneWave) {
+  DeviceSpec one_sm = kDev;
+  one_sm.sm_count = 1;
+  for (const DeviceSpec& device : {kDev, one_sm}) {
+    for (const int blocks_per_sm : {1, 3}) {
+      wsim::simt::Occupancy occ;
+      occ.blocks_per_sm = blocks_per_sm;
+      const int slots = device.sm_count * blocks_per_sm;
+      for (const int n : {slots - 1, slots, slots + 1}) {
+        if (n < 1) {
+          continue;
+        }
+        for (const bool zero_latency : {false, true}) {
+          wsim::util::Rng rng(GetParam() * 131 + static_cast<std::uint64_t>(n));
+          std::vector<BlockCost> blocks(static_cast<std::size_t>(n));
+          for (auto& b : blocks) {
+            b.latency_cycles = rng.uniform_int(1, 20000);
+            b.issue_slots = static_cast<std::uint64_t>(rng.uniform_int(1, 80000));
+            b.smem_transactions = static_cast<std::uint64_t>(rng.uniform_int(0, 30000));
+          }
+          if (zero_latency) {
+            // A zero-latency block frees its slot at once, so the next
+            // block reuses it: not the closed form's slot order.
+            blocks.front().latency_cycles = 0;
+          }
+          const KernelTiming want = reference_schedule(device, blocks_per_sm, blocks);
+          const KernelTiming got = schedule_blocks(device, occ, blocks);
+          SCOPED_TRACE(::testing::Message()
+                       << "sm_count=" << device.sm_count << " blocks_per_sm="
+                       << blocks_per_sm << " n=" << n << " zero=" << zero_latency);
+          EXPECT_EQ(got.latency_bound_cycles, want.latency_bound_cycles);
+          EXPECT_EQ(got.throughput_bound_cycles, want.throughput_bound_cycles);
+          EXPECT_EQ(got.cycles, want.cycles);
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPropertyTest,

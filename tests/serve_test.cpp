@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -16,6 +19,7 @@
 #include "wsim/serve/stats.hpp"
 #include "wsim/simt/engine.hpp"
 #include "wsim/util/rng.hpp"
+#include "wsim/util/stats.hpp"
 #include "wsim/workload/batching.hpp"
 #include "wsim/workload/generator.hpp"
 
@@ -658,6 +662,44 @@ TEST(ServeStats, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(equal.p99, 2.5);
   EXPECT_DOUBLE_EQ(equal.mean, 2.5);
   EXPECT_DOUBLE_EQ(equal.max, 2.5);
+}
+
+TEST(ServeStats, SelectedPercentilesMatchTheFullSortBitForBit) {
+  // summarize_latency selects its percentiles in place; util::percentile
+  // sorts a copy per call. Same order statistics, same interpolation, so
+  // the doubles must agree bit for bit, not just to a tolerance.
+  const auto expect_same = [](const std::vector<double>& sample, const char* what) {
+    const auto summary = wsim::serve::summarize_latency(sample);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.p50),
+              std::bit_cast<std::uint64_t>(wsim::util::percentile(sample, 50.0)))
+        << what << " n=" << sample.size();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.p95),
+              std::bit_cast<std::uint64_t>(wsim::util::percentile(sample, 95.0)))
+        << what << " n=" << sample.size();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.p99),
+              std::bit_cast<std::uint64_t>(wsim::util::percentile(sample, 99.0)))
+        << what << " n=" << sample.size();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.mean),
+              std::bit_cast<std::uint64_t>(wsim::util::summarize(sample).mean))
+        << what << " n=" << sample.size();
+  };
+  wsim::util::Rng rng(17);
+  for (const std::size_t n : {1U, 2U, 3U, 101U, 100000U}) {
+    std::vector<double> sample(n);
+    for (double& v : sample) {
+      v = rng.uniform_real(1e-6, 2e-2);
+    }
+    expect_same(sample, "random");
+    std::vector<double> ties(n);
+    for (double& v : ties) {
+      v = 1e-3 * static_cast<double>(rng.uniform_int(0, 3));
+    }
+    expect_same(ties, "ties");
+    std::sort(sample.begin(), sample.end());
+    expect_same(sample, "sorted");
+    std::reverse(sample.begin(), sample.end());
+    expect_same(sample, "reversed");
+  }
 }
 
 TEST(ServeStats, WriteStatsJsonMirrorsBenchSchema) {

@@ -18,3 +18,17 @@ execute_process(COMMAND ${WSIM} devices --interp fast
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "WSIM_INTERP=turbo --interp fast: expected exit 0, got ${rc}")
 endif()
+# A bare --interp (no value) is the same usage error, not the default
+# engine, whether or not WSIM_INTERP names a valid engine.
+foreach(env_value IN ITEMS "" fast)
+  set(ENV{WSIM_INTERP} "${env_value}")
+  execute_process(COMMAND ${WSIM} devices --interp
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "WSIM_INTERP='${env_value}' --interp: expected exit 2, got ${rc}")
+  endif()
+  string(FIND "${err}" "error: unknown interpreter '' for --interp" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "WSIM_INTERP='${env_value}' --interp: missing the --interp error:\n${err}")
+  endif()
+endforeach()

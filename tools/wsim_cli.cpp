@@ -1316,10 +1316,15 @@ int main(int argc, char** argv) {
   // variable so every launch in the process — including engines built by
   // library code — resolves the same path (simt::resolve_interp_path). A
   // misspelt WSIM_INTERP is rejected like a misspelt --interp instead of
-  // silently running the default engine.
+  // silently running the default engine. So is an --interp given no value
+  // (a trailing flag parses as ""), whatever WSIM_INTERP holds.
+  const bool bare_interp =
+      args.options.contains("interp") && args.get("interp", "").empty();
   const std::string interp =
-      wsim::cli::interp_knob(args.get("interp", ""), std::getenv("WSIM_INTERP"));
-  if (!interp.empty()) {
+      bare_interp ? std::string()
+                  : wsim::cli::interp_knob(args.get("interp", ""),
+                                           std::getenv("WSIM_INTERP"));
+  if (bare_interp || !interp.empty()) {
     const std::string interp_err = wsim::cli::interp_error(interp);
     if (!interp_err.empty()) {
       std::cerr << interp_err << '\n';
